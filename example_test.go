@@ -50,10 +50,10 @@ func ExampleRun() {
 }
 
 func ExampleSemiringBoruvka() {
-	// Pick the backend by density, the same split the resilient portfolio
-	// uses: the semiring (sparse-matrix) formulation earns its keep when the
-	// graph is very dense (m >= 16n) and rows are long enough to amortize
-	// the matrix build; the pointer-based LLP-Boruvka wins on sparse inputs.
+	// Pick the backend by density: the semiring (sparse-matrix) formulation
+	// needs very dense graphs (m >= 16n), whose long rows amortize the
+	// matrix build; the pointer-based LLP-Boruvka is the choice on sparse
+	// inputs.
 	g := paperGraph()
 	alg := llpmst.AlgLLPBoruvka
 	if g.NumEdges() >= 16*g.NumVertices() {

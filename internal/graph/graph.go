@@ -152,9 +152,7 @@ func FromEdges(p, n int, edges []Edge, opts ...BuildOption) (*CSR, error) {
 	}
 	loops := par.CountTrue(p, len(edges), func(i int) bool { return edges[i].U == edges[i].V })
 	if loops > 0 {
-		keep := make([]bool, len(edges))
-		par.ForEach(p, len(edges), 8192, func(i int) { keep[i] = edges[i].U != edges[i].V })
-		edges = par.Pack(p, edges, keep)
+		edges = par.FilterInto(p, nil, edges, nil, func(e Edge) bool { return e.U != e.V })
 	}
 	m := len(edges)
 	g := &CSR{n: n, edges: edges}

@@ -54,26 +54,41 @@ type Stats struct {
 	Advances int64 // total Advance calls
 }
 
+// Each driver takes the run's Canceller (nil or inert when the run cannot
+// be cancelled) and stops early once it observes cancellation: Run and
+// RunCtx share one implementation per mode.
+
+// fixpoint repeats sweep, which returns how many indices it advanced, until
+// a sweep advances none or cc is cancelled. cc is polled before every
+// sweep; the sweeps themselves poll it strided per index.
+func fixpoint(cc *par.Canceller, sweep func() int64) Stats {
+	var st Stats
+	for !cc.Poll() {
+		st.Rounds++
+		adv := sweep()
+		st.Advances += adv
+		if adv == 0 {
+			break
+		}
+	}
+	return st
+}
+
 // Sequential runs the LLP algorithm with a single thread: sweep all indices,
 // advancing each forbidden one, until a sweep makes no advances. Returns
 // driver statistics.
-func Sequential(pred Predicate) Stats {
+func Sequential(cc *par.Canceller, pred Predicate) Stats {
 	n := pred.N()
-	var st Stats
-	for {
-		st.Rounds++
-		advanced := false
-		for j := 0; j < n; j++ {
+	return fixpoint(cc, func() int64 {
+		var adv int64
+		for j := 0; j < n && !cc.Stride(j); j++ {
 			if pred.Forbidden(j) {
 				pred.Advance(j)
-				st.Advances++
-				advanced = true
+				adv++
 			}
 		}
-		if !advanced {
-			return st
-		}
-	}
+		return adv
+	})
 }
 
 // RoundParallel runs the LLP algorithm in barrier-synchronized rounds on
@@ -82,21 +97,26 @@ func Sequential(pred Predicate) Stats {
 // reading of Algorithm 1's "for all j such that forbidden(G, j, B) in
 // parallel". Forbidden must be safe to call concurrently with other
 // Forbidden calls, and Advance with other Advance calls on distinct
-// indices.
-func RoundParallel(workers int, pred Predicate) Stats {
+// indices. A cancelled round stops advancing mid-batch; Stats.Advances
+// counts only the advances made.
+func RoundParallel(cc *par.Canceller, workers int, pred Predicate) Stats {
 	n := pred.N()
-	var st Stats
-	for {
-		st.Rounds++
-		forbidden := par.PackIndex(workers, n, func(j int) bool { return pred.Forbidden(j) })
-		if len(forbidden) == 0 {
-			return st
-		}
-		par.ForEach(workers, len(forbidden), 256, func(i int) {
+	var forbidden []uint32
+	var adv atomic.Int64
+	advance := func(lo, hi int) {
+		local := int64(0)
+		for i := lo; i < hi && !cc.Stride(i); i++ {
 			pred.Advance(int(forbidden[i]))
-		})
-		st.Advances += int64(len(forbidden))
+			local++
+		}
+		adv.Add(local)
 	}
+	return fixpoint(cc, func() int64 {
+		forbidden = par.PackIndexInto(workers, n, forbidden, nil, pred.Forbidden)
+		adv.Store(0)
+		par.For(workers, len(forbidden), 256, advance)
+		return adv.Load()
+	})
 }
 
 // Async runs the LLP algorithm with workers goroutines sweeping chunks of
@@ -106,35 +126,28 @@ func RoundParallel(workers int, pred Predicate) Stats {
 // on distinct indices, including reads of cells being advanced (atomics in
 // the instance state); lattice-linearity makes such stale reads harmless —
 // an index advanced on stale information is advanced again later.
-func Async(workers int, pred Predicate) Stats {
+func Async(cc *par.Canceller, workers int, pred Predicate) Stats {
 	n := pred.N()
-	var st Stats
-	var advances atomic.Int64
-	var advanced atomic.Bool
+	var adv atomic.Int64
 	// One sweep closure for the whole fixpoint loop, so repeated sweeps
-	// (and repeated Async calls per contraction round) allocate nothing.
+	// allocate nothing.
 	sweep := func(lo, hi int) {
 		local := int64(0)
-		for j := lo; j < hi; j++ {
+		for j := lo; j < hi && !cc.Stride(j); j++ {
 			if pred.Forbidden(j) {
 				pred.Advance(j)
 				local++
 			}
 		}
 		if local > 0 {
-			advances.Add(local)
-			advanced.Store(true)
+			adv.Add(local)
 		}
 	}
-	for {
-		st.Rounds++
-		advanced.Store(false)
+	return fixpoint(cc, func() int64 {
+		adv.Store(0)
 		par.For(workers, n, 512, sweep)
-		if !advanced.Load() {
-			st.Advances = advances.Load()
-			return st
-		}
-	}
+		return adv.Load()
+	})
 }
 
 // Mode selects an LLP driver.
@@ -150,83 +163,34 @@ const (
 	ModeSequential
 )
 
-// Run dispatches to the driver selected by mode.
-func Run(mode Mode, workers int, pred Predicate) Stats {
+// drive dispatches to the driver selected by mode.
+func drive(cc *par.Canceller, mode Mode, workers int, pred Predicate) Stats {
 	switch mode {
 	case ModeRound:
-		return RoundParallel(workers, pred)
+		return RoundParallel(cc, workers, pred)
 	case ModeSequential:
-		return Sequential(pred)
+		return Sequential(cc, pred)
 	default:
-		return Async(workers, pred)
+		return Async(cc, workers, pred)
 	}
 }
 
-// RunCtx is Run with cooperative cancellation: the context is polled
-// between sweeps/rounds of whichever driver mode selects (a sweep over the
-// index set is the natural quantum — aborting mid-sweep would leave the
-// fixpoint iteration's progress guarantees intact anyway, but sweeps are
-// short and keeping them atomic keeps the round counts meaningful). On
-// cancellation the state vector holds a partially advanced (still
-// lattice-consistent) state and the error wraps ctx.Err().
+// Run runs pred to its fixpoint with the driver selected by mode.
+func Run(mode Mode, workers int, pred Predicate) Stats {
+	return drive(nil, mode, workers, pred)
+}
+
+// RunCtx is Run with cooperative cancellation: the drivers poll ctx before
+// every sweep or round and strided per index within one. On cancellation
+// the state vector holds a partially advanced (still lattice-consistent)
+// state and the error wraps ctx.Err().
 func RunCtx(ctx context.Context, mode Mode, workers int, pred Predicate) (Stats, error) {
 	cc := par.NewCanceller(ctx)
-	if !cc.Active() {
-		return Run(mode, workers, pred), nil
+	st := drive(cc, mode, workers, pred)
+	// A cancelled sweep observes no advances without being at the fixpoint;
+	// report the interruption, not convergence.
+	if cc.Poll() {
+		return st, fmt.Errorf("llp: driver interrupted after %d rounds: %w", st.Rounds, cc.Err())
 	}
-	n := pred.N()
-	var st Stats
-	for {
-		if cc.Poll() {
-			return st, fmt.Errorf("llp: driver interrupted after %d rounds: %w", st.Rounds, cc.Err())
-		}
-		st.Rounds++
-		var advances int64
-		switch mode {
-		case ModeSequential:
-			for j := 0; j < n; j++ {
-				if cc.Stride(j) {
-					break
-				}
-				if pred.Forbidden(j) {
-					pred.Advance(j)
-					advances++
-				}
-			}
-		case ModeRound:
-			forbidden := par.PackIndex(workers, n, func(j int) bool { return pred.Forbidden(j) })
-			par.ForEach(workers, len(forbidden), 256, func(i int) {
-				if cc.Stride(i) {
-					return
-				}
-				pred.Advance(int(forbidden[i]))
-			})
-			advances = int64(len(forbidden))
-		default:
-			var adv atomic.Int64
-			par.For(workers, n, 512, func(lo, hi int) {
-				local := int64(0)
-				for j := lo; j < hi; j++ {
-					if cc.Stride(j) {
-						break
-					}
-					if pred.Forbidden(j) {
-						pred.Advance(j)
-						local++
-					}
-				}
-				adv.Add(local)
-			})
-			advances = adv.Load()
-		}
-		st.Advances += advances
-		if advances == 0 {
-			if cc.Poll() {
-				// A cancelled sweep observes no advances without being at
-				// the fixpoint; report the interruption, not convergence.
-				return st, fmt.Errorf("llp: driver interrupted after %d rounds: %w", st.Rounds, cc.Err())
-			}
-			return st, nil
-		}
-	}
+	return st, nil
 }

@@ -1,6 +1,8 @@
 package llp
 
 import (
+	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -64,7 +66,7 @@ func TestPointerJumpMakesStars(t *testing.T) {
 			for i := 1; i < n; i++ {
 				parent[i] = uint32(i - 1)
 			}
-			st := Stars(m.mode, 4, parent)
+			st := Run(m.mode, 4, NewPointerJump(parent))
 			for i, p := range parent {
 				if p != 0 {
 					t.Fatalf("parent[%d] = %d, want 0", i, p)
@@ -108,7 +110,7 @@ func TestPointerJumpRandomForests(t *testing.T) {
 		}
 		cp := make([]uint32, n)
 		copy(cp, parent)
-		Stars(ModeAsync, 4, cp)
+		Run(ModeAsync, 4, NewPointerJump(cp))
 		for i := range cp {
 			if cp[i] != want[i] {
 				return false
@@ -235,16 +237,53 @@ func TestComponentsOnConnectedGraph(t *testing.T) {
 
 func TestEmptyPredicates(t *testing.T) {
 	pred := &counterPred{}
-	st := Sequential(pred)
+	st := Sequential(nil, pred)
 	if st.Advances != 0 {
 		t.Fatal("advances on empty lattice")
 	}
-	st = RoundParallel(2, pred)
+	st = RoundParallel(nil, 2, pred)
 	if st.Advances != 0 {
 		t.Fatal("advances on empty lattice (round)")
 	}
-	st = Async(2, pred)
+	st = Async(nil, 2, pred)
 	if st.Advances != 0 {
 		t.Fatal("advances on empty lattice (async)")
+	}
+}
+
+// cancellingPred is a lattice of n independent cells, each forbidden until
+// advanced once; its first Advance cancels the run's context.
+type cancellingPred struct {
+	advanced []bool
+	calls    int64
+	cancel   context.CancelFunc
+}
+
+func (c *cancellingPred) N() int               { return len(c.advanced) }
+func (c *cancellingPred) Forbidden(j int) bool { return !c.advanced[j] }
+func (c *cancellingPred) Advance(j int) {
+	if c.calls == 0 {
+		c.cancel()
+	}
+	c.calls++
+	c.advanced[j] = true
+}
+
+// An interrupted round must count only the advances it made: the round
+// driver stops advancing its forbidden batch at the next strided poll, and
+// Stats.Advances must agree with what the predicate saw.
+func TestRoundDriverCountsOnlyAdvancesMade(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	pred := &cancellingPred{advanced: make([]bool, 5000), cancel: cancel}
+	st, err := RunCtx(ctx, ModeRound, 1, pred)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want one wrapping context.Canceled", err)
+	}
+	if pred.calls >= int64(len(pred.advanced)) {
+		t.Fatalf("the cancelled round advanced all %d forbidden indices", pred.calls)
+	}
+	if st.Advances != pred.calls {
+		t.Fatalf("Stats.Advances = %d, but the predicate saw %d Advance calls", st.Advances, pred.calls)
 	}
 }

@@ -128,6 +128,6 @@ func (mc *MarketClearing) Assignment() []int32 {
 // minimum clearing prices and a clearing assignment.
 func SolveMarketClearing(value [][]int64) ([]int64, []int32, Stats) {
 	mc := NewMarketClearing(value)
-	st := Sequential(mc)
+	st := Sequential(nil, mc)
 	return mc.Prices(), mc.Assignment(), st
 }

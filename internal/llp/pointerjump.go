@@ -1,9 +1,6 @@
 package llp
 
-import (
-	"context"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // Pointer jumping as an LLP instance — the inner loop of LLP-Boruvka (§VI):
 // given a forest of rooted trees encoded as a parent array (roots point to
@@ -52,18 +49,3 @@ func (p *PointerJump) Advance(j int) {
 
 // Parent returns the underlying array.
 func (p *PointerJump) Parent() []uint32 { return p.parent }
-
-// Stars runs pointer jumping to the fixpoint with the given driver and
-// returns the driver stats. Afterwards parent[j] is the root of j's tree
-// for every j.
-func Stars(mode Mode, workers int, parent []uint32) Stats {
-	return Run(mode, workers, NewPointerJump(parent))
-}
-
-// StarsCtx is Stars with cooperative cancellation between sweeps. On a nil
-// or non-cancellable context it is exactly Stars. A non-nil error means the
-// fixpoint was not reached: parent may still contain non-star trees (though
-// every parent[j] remains an ancestor of j, per Lemma 3).
-func StarsCtx(ctx context.Context, mode Mode, workers int, parent []uint32) (Stats, error) {
-	return RunCtx(ctx, mode, workers, NewPointerJump(parent))
-}

@@ -32,7 +32,7 @@ func TestPriorityDriverIsDijkstra(t *testing.T) {
 func TestPriorityDriverDoesLessWorkThanSweeps(t *testing.T) {
 	g := gen.RoadNetwork(1, 24, 24, 0.3, 23)
 	spA := NewShortestPaths(g, 0)
-	stAsync := Async(2, spA)
+	stAsync := Async(nil, 2, spA)
 	spP := NewShortestPaths(g, 0)
 	stPrio := RunPriority(2, spP, 0)
 	dA, dP := spA.Distances(), spP.Distances()

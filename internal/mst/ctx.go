@@ -28,7 +28,7 @@ import (
 // The parallel runtime (internal/par, internal/sched) recovers worker
 // panics, drains the remaining workers, and re-raises the first panic as a
 // *par.PanicError on the algorithm goroutine (or returns it as an error
-// from the scheduler's Obs/Ctx entry points). Each of the five parallel
+// from sched.Bag.ForEachObs). Each of the five parallel
 // algorithms converts that into an ordinary error with recoverPanic: the
 // caller gets the partial forest built so far plus an error wrapping the
 // *par.PanicError (reachable via errors.As), and the process survives.

@@ -27,9 +27,8 @@
 //   - AlgParallelBoruvka / AlgLLPBoruvka: pointer-based parallel Boruvka
 //     (GBBS-style write-min, and the paper's LLP formulation).
 //   - AlgSemiringBoruvka: the sparse-matrix formulation — branch-free
-//     row-blocked min reductions with no atomics in the inner loop; it
-//     shines on dense graphs and is the resilient portfolio's pick when
-//     m >= 16n.
+//     row-blocked min reductions with no atomics in the inner loop. It
+//     is kept for comparison; the resilient portfolio never picks it.
 //   - AlgKKT: randomized linear-work Karger–Klein–Tarjan.
 //
 // Parallel algorithms draw all O(n+m) scratch from an Options.Workspace

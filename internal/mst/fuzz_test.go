@@ -1,6 +1,7 @@
 package mst
 
 import (
+	"runtime"
 	"testing"
 
 	"llpmst/internal/graph"
@@ -8,7 +9,8 @@ import (
 
 // FuzzDifferentialMSF decodes arbitrary bytes into a small weighted graph
 // and differential-checks the parallel backends — including the semiring
-// (sparse-matrix) Boruvka — against the Kruskal oracle. The decoder is
+// (sparse-matrix) Boruvka — against the Kruskal oracle at worker counts
+// {1, 2, GOMAXPROCS}. The decoder is
 // deliberately permissive (endpoints wrap modulo n, weights come from a
 // small integer range so ties are dense), so the fuzzer explores tie-heavy,
 // multi-edge, self-loop-adjacent shapes that generators rarely emit.
@@ -40,14 +42,16 @@ func FuzzDifferentialMSF(f *testing.F) {
 			return
 		}
 		oracle := Kruskal(g)
-		for _, alg := range []Algorithm{AlgSemiringBoruvka, AlgLLPBoruvka, AlgLLPPrimAsync} {
-			forest, err := Run(alg, g, Options{Workers: 2})
-			if err != nil {
-				t.Fatalf("%s: %v", alg, err)
-			}
-			if !forest.Equal(oracle) {
-				t.Fatalf("%s differs from kruskal on n=%d m=%d: %s vs %s",
-					alg, g.NumVertices(), g.NumEdges(), forest, oracle)
+		for _, p := range []int{1, 2, runtime.GOMAXPROCS(0)} {
+			for _, alg := range []Algorithm{AlgSemiringBoruvka, AlgLLPBoruvka, AlgLLPPrimAsync} {
+				forest, err := Run(alg, g, Options{Workers: p})
+				if err != nil {
+					t.Fatalf("%s p=%d: %v", alg, p, err)
+				}
+				if !forest.Equal(oracle) {
+					t.Fatalf("%s p=%d differs from kruskal on n=%d m=%d: %s vs %s",
+						alg, p, g.NumVertices(), g.NumEdges(), forest, oracle)
+				}
 			}
 		}
 	})

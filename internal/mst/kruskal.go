@@ -81,20 +81,20 @@ func FilterKruskal(g *graph.CSR, opts Options) *Forest {
 			return
 		}
 		pivot := medianOfThree(keys)
-		light := par.PackFunc(p, keys, func(k uint64) bool { return k <= pivot })
+		light := par.FilterInto(p, nil, keys, nil, func(k uint64) bool { return k <= pivot })
 		if len(light) == len(keys) {
 			// Degenerate pivot (the maximum); fall back to the base case
 			// rather than recursing on an unshrunk problem.
 			base(keys)
 			return
 		}
-		heavy := par.PackFunc(p, keys, func(k uint64) bool { return k > pivot })
+		heavy := par.FilterInto(p, nil, keys, nil, func(k uint64) bool { return k > pivot })
 		recurse(light)
 		if joined >= target {
 			return
 		}
 		// Filter: drop heavy edges already connected by the light half.
-		survivors := par.PackFunc(p, heavy, func(k uint64) bool {
+		survivors := par.FilterInto(p, nil, heavy, nil, func(k uint64) bool {
 			e := g.Edge(par.KeyID(k))
 			return !uf.Same(e.U, e.V)
 		})

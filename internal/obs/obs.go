@@ -7,15 +7,13 @@ type Counter uint8
 
 // The defined counters.
 const (
-	// CtrSchedPush counts items pushed into scheduler work queues
-	// (sched.ForEachAsync and friends).
+	// CtrSchedPush counts items pushed into the async scheduler's work
+	// queues (sched.ForEachAsync, sched.Bag.ForEachObs).
 	CtrSchedPush Counter = iota
 	// CtrSchedPop counts items popped from a worker's own queue.
 	CtrSchedPop
 	// CtrSchedSteal counts successful steal operations (batches, not items).
 	CtrSchedSteal
-	// CtrSchedLevels counts priority levels opened by ForEachOrdered.
-	CtrSchedLevels
 	// CtrRounds counts outer contraction rounds (Boruvka family).
 	CtrRounds
 	// CtrJumpRounds counts LLP pointer-jumping sweeps (LLP-Boruvka).
@@ -137,8 +135,6 @@ func (c Counter) String() string {
 		return "sched.pop"
 	case CtrSchedSteal:
 		return "sched.steal"
-	case CtrSchedLevels:
-		return "sched.levels"
 	case CtrRounds:
 		return "rounds"
 	case CtrJumpRounds:

@@ -26,11 +26,6 @@ func PackKey(w float32, id uint32) uint64 {
 	return uint64(math.Float32bits(w))<<32 | uint64(id)
 }
 
-// UnpackKey is the inverse of PackKey.
-func UnpackKey(k uint64) (w float32, id uint32) {
-	return math.Float32frombits(uint32(k >> 32)), uint32(k)
-}
-
 // KeyWeight extracts only the weight of a packed key.
 func KeyWeight(k uint64) float32 { return math.Float32frombits(uint32(k >> 32)) }
 
@@ -47,33 +42,6 @@ func WriteMin(addr *uint64, val uint64) bool {
 			return false
 		}
 		if atomic.CompareAndSwapUint64(addr, old, val) {
-			return true
-		}
-	}
-}
-
-// WriteMax atomically sets *addr = max(*addr, val) and reports whether val
-// became the new maximum.
-func WriteMax(addr *uint64, val uint64) bool {
-	for {
-		old := atomic.LoadUint64(addr)
-		if val <= old {
-			return false
-		}
-		if atomic.CompareAndSwapUint64(addr, old, val) {
-			return true
-		}
-	}
-}
-
-// WriteMinU32 atomically sets *addr = min(*addr, val) on a uint32 cell.
-func WriteMinU32(addr *uint32, val uint32) bool {
-	for {
-		old := atomic.LoadUint32(addr)
-		if val >= old {
-			return false
-		}
-		if atomic.CompareAndSwapUint32(addr, old, val) {
 			return true
 		}
 	}

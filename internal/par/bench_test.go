@@ -78,7 +78,7 @@ func BenchmarkSortUint64(b *testing.B) {
 	}
 }
 
-func BenchmarkPackFunc(b *testing.B) {
+func BenchmarkFilterInto(b *testing.B) {
 	const n = 1 << 19
 	src := make([]uint32, n)
 	for i := range src {
@@ -86,7 +86,7 @@ func BenchmarkPackFunc(b *testing.B) {
 	}
 	b.SetBytes(n * 4)
 	for i := 0; i < b.N; i++ {
-		out := PackFunc(0, src, func(x uint32) bool { return x%3 == 0 })
+		out := FilterInto(0, nil, src, nil, func(x uint32) bool { return x%3 == 0 })
 		if len(out) == 0 {
 			b.Fatal("empty pack")
 		}

@@ -14,9 +14,8 @@ import (
 // quiesce within one stride of each other.
 //
 // A Canceller built from a nil context, context.Background(), or any other
-// context that can never be cancelled (Done() == nil) is inert: Active
-// reports false and every check is a nil comparison. The zero value is
-// likewise inert.
+// context that can never be cancelled (Done() == nil) is inert: every
+// check is a nil comparison. The zero value is likewise inert.
 type Canceller struct {
 	ctx     context.Context
 	done    <-chan struct{}
@@ -48,10 +47,6 @@ func NewCanceller(ctx context.Context) *Canceller {
 	}
 	return &Canceller{ctx: ctx, done: done}
 }
-
-// Active reports whether cancellation is possible at all. Loops may use it
-// to pick an uninstrumented fast path.
-func (c *Canceller) Active() bool { return c != nil && c.done != nil }
 
 // Poll checks the context now and reports whether the run is cancelled.
 // Intended for phase boundaries and scheduler idle loops.

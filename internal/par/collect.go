@@ -5,74 +5,34 @@ package par
 // concatenates all buffers into one slice. Chunk order within the result is
 // unspecified (parallel frontier expansion does not need it).
 func ForCollect[T any](p, n, grain int, body func(lo, hi int, out []T) []T) []T {
-	return ForCollectInto(p, n, grain, nil, body)
+	return ForCollectIntoW(p, n, grain, nil, func(_, lo, hi int, out []T) []T { return body(lo, hi, out) })
 }
 
-// ForCollectInto is ForCollect accumulating into buf's storage: the
-// sequential fast path (one worker, or the whole range below the grain)
-// appends into buf[:0] directly, and the parallel path concatenates the
-// per-chunk buffers into buf when its capacity suffices. A caller that
-// keeps the returned slice's capacity for the next call (ws pattern:
-// buf = ForCollectInto(p, n, g, buf, body)[:0] ... ) reaches zero
+// ForCollectIntoW is ForCollect accumulating into buf's storage, with the
+// worker's index passed to body (see ForW): body(w, lo, hi, out) may
+// attribute its side effects — span timings, counter deltas — to worker w.
+// The sequential fast path (one worker, or the whole range below the grain)
+// passes w = 0 and appends into buf[:0] directly, and the parallel path
+// concatenates the per-chunk buffers into buf when its capacity suffices.
+// A caller that keeps the returned slice's capacity for the next call
+// (buf = ForCollectIntoW(p, n, g, buf, body)[:0] ...) reaches zero
 // steady-state allocations on the sequential path. buf's contents are
 // overwritten; it must not alias anything body reads.
-func ForCollectInto[T any](p, n, grain int, buf []T, body func(lo, hi int, out []T) []T) []T {
-	if n <= 0 {
-		return buf[:0]
-	}
-	p = Workers(p)
-	if grain <= 0 {
-		grain = DefaultGrain
-	}
-	if p == 1 || n <= grain {
-		return body(0, n, buf[:0])
-	}
-	nchunks := (n + grain - 1) / grain
-	results := make(chan []T, nchunks)
-	For(p, n, grain, func(lo, hi int) {
-		results <- body(lo, hi, nil)
-	})
-	close(results)
-	var total int
-	bufs := make([][]T, 0, nchunks)
-	for b := range results {
-		bufs = append(bufs, b)
-		total += len(b)
-	}
-	out := buf[:0]
-	if cap(out) < total {
-		out = make([]T, 0, total)
-	}
-	for _, b := range bufs {
-		out = append(out, b...)
-	}
-	return out
-}
-
-// ForCollectIntoW is ForCollectInto with the worker's index passed to body
-// (see ForW): body(w, lo, hi, out) may attribute its side effects — span
-// timings, counter deltas — to worker w. The sequential fast path passes
-// w = 0 and appends into buf[:0] directly, preserving ForCollectInto's
-// zero-steady-state-allocation property.
 func ForCollectIntoW[T any](p, n, grain int, buf []T, body func(w, lo, hi int, out []T) []T) []T {
 	if n <= 0 {
 		return buf[:0]
 	}
-	p = Workers(p)
-	if grain <= 0 {
-		grain = DefaultGrain
-	}
-	if p == 1 || n <= grain {
+	workers, g := chunking(p, n, grain)
+	if workers == 1 {
 		return body(0, 0, n, buf[:0])
 	}
-	nchunks := (n + grain - 1) / grain
-	results := make(chan []T, nchunks)
-	ForW(p, n, grain, func(w, lo, hi int) {
+	results := make(chan []T, (n+g-1)/g)
+	ForW(p, n, g, func(w, lo, hi int) {
 		results <- body(w, lo, hi, nil)
 	})
 	close(results)
 	var total int
-	bufs := make([][]T, 0, nchunks)
+	bufs := make([][]T, 0, len(results))
 	for b := range results {
 		bufs = append(bufs, b)
 		total += len(b)

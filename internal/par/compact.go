@@ -1,15 +1,14 @@
 package par
 
-// Workspace-friendly compaction. The Pack* helpers in scan.go allocate an
-// offsets array of length n+1 per call; the *Into variants here instead
-// split the input into one contiguous chunk per worker, have each worker
-// count its survivors into a cache-line-padded counter block, prefix-sum
-// the p counts sequentially (p is tiny), and scatter. The output order is
-// identical to the allocating variants (stable, input order), no channel or
-// atomic append is involved, and a caller that reuses dst and pad performs
-// zero allocations in steady state — the compaction discipline the
-// Boruvka-family contraction loops need to stay allocation-free across
-// rounds.
+// Order-preserving compaction into caller-owned buffers. The *Into
+// helpers split the input into one contiguous chunk per worker, have each
+// worker count its survivors into a cache-line-padded counter block,
+// prefix-sum the p counts sequentially (p is tiny), and scatter. The output
+// is stable (input order), no channel or atomic append is involved, and a
+// caller that reuses dst and pad performs zero allocations in steady state
+// — the compaction discipline the Boruvka-family contraction loops need to
+// stay allocation-free across rounds. A nil dst gets a fresh slice, for
+// one-shot callers.
 
 // PadStride is the int64 spacing between per-worker slots in a padded
 // counter block: 8 int64s = 64 bytes, one cache line, so two workers
@@ -56,15 +55,7 @@ func scanPad(pad []int64, p int) int64 {
 // and once writing. pad is the padded per-worker counter block (see
 // PadBlock; nil allocates a transient one). dst must not alias src.
 func FilterMapInto[S, D any](p int, dst []D, src []S, pad []int64, f func(S) (D, bool)) []D {
-	n := len(src)
-	if n == 0 {
-		return dst[:0]
-	}
-	p = Workers(p)
-	if p > n {
-		p = n
-	}
-	if p == 1 {
+	if Workers(p) == 1 || len(src) <= 1 {
 		dst = dst[:0]
 		for i := range src {
 			if d, ok := f(src[i]); ok {
@@ -73,34 +64,7 @@ func FilterMapInto[S, D any](p int, dst []D, src []S, pad []int64, f func(S) (D,
 		}
 		return dst
 	}
-	pad = PadBlock(pad, p)
-	ForEach(p, p, 1, func(w int) {
-		lo, hi := chunkBounds(w, p, n)
-		var c int64
-		for i := lo; i < hi; i++ {
-			if _, ok := f(src[i]); ok {
-				c++
-			}
-		}
-		pad[w*PadStride] = c
-	})
-	total := scanPad(pad, p)
-	if int64(cap(dst)) < total {
-		dst = make([]D, total)
-	} else {
-		dst = dst[:total]
-	}
-	ForEach(p, p, 1, func(w int) {
-		lo, hi := chunkBounds(w, p, n)
-		at := pad[w*PadStride]
-		for i := lo; i < hi; i++ {
-			if d, ok := f(src[i]); ok {
-				dst[at] = d
-				at++
-			}
-		}
-	})
-	return dst
+	return compactInto(p, len(src), dst, pad, func(i int) (D, bool) { return f(src[i]) })
 }
 
 // FilterInto is FilterMapInto with the identity transform: the elements of
@@ -116,21 +80,14 @@ func FilterInto[T any](p int, dst, src []T, pad []int64, keep func(T) bool) []T 
 		}
 		return dst
 	}
-	return FilterMapInto(p, dst, src, pad, func(x T) (T, bool) { return x, keep(x) })
+	return compactInto(p, len(src), dst, pad, func(i int) (T, bool) { return src[i], keep(src[i]) })
 }
 
-// PackIndexInto is PackIndex writing into dst with a caller counter block:
-// the indices i in [0, n) satisfying keep, in increasing order. Zero
-// allocations when dst and pad are large enough.
+// PackIndexInto writes the indices i in [0, n) satisfying keep, in
+// increasing order, into dst, with pad as the per-worker counter block.
+// Zero allocations when dst and pad are large enough.
 func PackIndexInto(p, n int, dst []uint32, pad []int64, keep func(i int) bool) []uint32 {
-	if n == 0 {
-		return dst[:0]
-	}
-	p = Workers(p)
-	if p > n {
-		p = n
-	}
-	if p == 1 {
+	if Workers(p) == 1 || n <= 1 {
 		dst = dst[:0]
 		for i := 0; i < n; i++ {
 			if keep(i) {
@@ -139,12 +96,22 @@ func PackIndexInto(p, n int, dst []uint32, pad []int64, keep func(i int) bool) [
 		}
 		return dst
 	}
+	return compactInto(p, n, dst, pad, func(i int) (uint32, bool) { return uint32(i), keep(i) })
+}
+
+// compactInto is the parallel engine of the *Into compactions: it writes
+// the accepted f(i), i in [0, n), in index order into dst. Each worker owns
+// one contiguous chunk: it counts its survivors into its padded slot, the
+// p counts are prefix-summed sequentially, and each worker scatters from
+// its offset.
+func compactInto[D any](p, n int, dst []D, pad []int64, f func(i int) (D, bool)) []D {
+	p = min(Workers(p), n)
 	pad = PadBlock(pad, p)
 	ForEach(p, p, 1, func(w int) {
 		lo, hi := chunkBounds(w, p, n)
 		var c int64
 		for i := lo; i < hi; i++ {
-			if keep(i) {
+			if _, ok := f(i); ok {
 				c++
 			}
 		}
@@ -152,7 +119,7 @@ func PackIndexInto(p, n int, dst []uint32, pad []int64, keep func(i int) bool) [
 	})
 	total := scanPad(pad, p)
 	if int64(cap(dst)) < total {
-		dst = make([]uint32, total)
+		dst = make([]D, total)
 	} else {
 		dst = dst[:total]
 	}
@@ -160,8 +127,8 @@ func PackIndexInto(p, n int, dst []uint32, pad []int64, keep func(i int) bool) [
 		lo, hi := chunkBounds(w, p, n)
 		at := pad[w*PadStride]
 		for i := lo; i < hi; i++ {
-			if keep(i) {
-				dst[at] = uint32(i)
+			if d, ok := f(i); ok {
+				dst[at] = d
 				at++
 			}
 		}

@@ -67,10 +67,15 @@ func TestPackIndexIntoMatchesPackIndex(t *testing.T) {
 	keep := func(i int) bool { return i%5 == 0 || i%7 == 0 }
 	for _, p := range []int{1, 2, 4, 8} {
 		for _, n := range []int{0, 1, 10, 1000, 1 << 14} {
-			want := PackIndex(p, n, keep)
+			var want []uint32
+			for i := 0; i < n; i++ {
+				if keep(i) {
+					want = append(want, uint32(i))
+				}
+			}
 			got := PackIndexInto(p, n, nil, nil, keep)
 			if !slices.Equal(got, want) {
-				t.Fatalf("p=%d n=%d: PackIndexInto differs from PackIndex", p, n)
+				t.Fatalf("p=%d n=%d: PackIndexInto differs from the sequential reference", p, n)
 			}
 		}
 	}
@@ -105,7 +110,7 @@ func TestSequentialCompactionPathsAllocationFree(t *testing.T) {
 }
 
 func TestForCollectIntoSequentialReusesBuf(t *testing.T) {
-	body := func(lo, hi int, out []int) []int {
+	body := func(w, lo, hi int, out []int) []int {
 		for i := lo; i < hi; i++ {
 			if i%2 == 0 {
 				out = append(out, i)
@@ -116,19 +121,19 @@ func TestForCollectIntoSequentialReusesBuf(t *testing.T) {
 	buf := make([]int, 0, 600)
 	if !raceTestEnabled {
 		if n := testing.AllocsPerRun(20, func() {
-			buf = ForCollectInto(1, 1000, 64, buf, body)[:0]
+			buf = ForCollectIntoW(1, 1000, 64, buf, body)[:0]
 		}); n != 0 {
-			t.Fatalf("sequential ForCollectInto allocated %v times per run", n)
+			t.Fatalf("sequential ForCollectIntoW allocated %v times per run", n)
 		}
 	}
-	got := ForCollectInto(1, 1000, 64, buf, body)
+	got := ForCollectIntoW(1, 1000, 64, buf, body)
 	if len(got) != 500 || got[0] != 0 || got[499] != 998 {
-		t.Fatalf("ForCollectInto result wrong: len=%d", len(got))
+		t.Fatalf("ForCollectIntoW result wrong: len=%d", len(got))
 	}
 }
 
 func TestForCollectIntoParallelMatchesSequential(t *testing.T) {
-	body := func(lo, hi int, out []uint32) []uint32 {
+	body := func(w, lo, hi int, out []uint32) []uint32 {
 		for i := lo; i < hi; i++ {
 			if i%7 == 0 {
 				out = append(out, uint32(i))
@@ -136,11 +141,11 @@ func TestForCollectIntoParallelMatchesSequential(t *testing.T) {
 		}
 		return out
 	}
-	want := ForCollectInto(1, 1<<14, 128, nil, body)
-	got := ForCollectInto(8, 1<<14, 128, make([]uint32, 0, 1<<12), body)
+	want := ForCollectIntoW(1, 1<<14, 128, nil, body)
+	got := ForCollectIntoW(8, 1<<14, 128, make([]uint32, 0, 1<<12), body)
 	slices.Sort(got) // parallel chunk order is unspecified
 	if !slices.Equal(got, want) {
-		t.Fatalf("parallel ForCollectInto differs: %d vs %d elems", len(got), len(want))
+		t.Fatalf("parallel ForCollectIntoW differs: %d vs %d elems", len(got), len(want))
 	}
 }
 

@@ -10,8 +10,8 @@ import (
 //
 // A goroutine that panics without a recover kills the whole process — for a
 // library runtime that may be hosting a service, an unacceptable failure
-// mode. Every goroutine this package spawns therefore recovers panics from
-// its body, converts the first one into a *PanicError (capturing the stack
+// mode. Every goroutine Spawn starts therefore recovers panics from its
+// body, converts the first one into a *PanicError (capturing the stack
 // and the work-item index being processed), lets the remaining workers
 // finish their current chunks, joins all of them, and only then re-raises
 // the *PanicError on the calling goroutine. The guarantees callers get:
@@ -22,10 +22,9 @@ import (
 //     one observed (the others are counted, not lost silently);
 //   - an intact stack trace of the original panic site in PanicError.Stack.
 //
-// Callers with an error return (the schedulers' Ctx/Obs variants, the MST
-// algorithms) recover the re-raised *PanicError once more and surface it as
-// an ordinary error; plain callers crash exactly as before, just with all
-// workers drained.
+// Callers with an error return (sched.Bag.ForEachObs, the MST algorithms)
+// surface the *PanicError as an ordinary error; plain callers crash exactly
+// as before, just with all workers drained.
 
 // PanicError reports a panic recovered from a parallel worker. It is the
 // payload re-raised by the par loops and returned (as an error) by the
@@ -73,9 +72,8 @@ type PanicBox struct {
 	extra int // panics after the first, collapsed into the count
 }
 
-// Capture recovers a pending panic on the calling goroutine (it must be
-// invoked directly from a deferred function) and records it. Reports
-// whether a panic was captured.
+// Capture records r, the result of a recover() in a deferred function, as
+// a panic on work item item. A nil r (no panic) is ignored.
 func (b *PanicBox) Capture(r any, item int) {
 	if r == nil {
 		return

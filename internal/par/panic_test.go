@@ -138,3 +138,29 @@ func TestPanicBoxFirstWinsAndCounts(t *testing.T) {
 	}
 	empty.Rethrow() // must be a no-op
 }
+
+func TestSpawnJoinsAllWorkersAndReturnsFirstPanic(t *testing.T) {
+	before := runtime.NumGoroutine()
+	var ran atomic.Int64
+	var box PanicBox
+	pe := Spawn(4, &box, func(w int) {
+		ran.Add(1)
+		if w == 3 {
+			panic("spawn boom")
+		}
+	})
+	if ran.Load() != 4 {
+		t.Fatalf("ran %d workers, want 4", ran.Load())
+	}
+	if pe == nil || pe.Value != "spawn boom" || pe.Item != -1 {
+		t.Fatalf("Spawn returned %+v, want the worker panic with item -1", pe)
+	}
+	if box.Count() != 1 {
+		t.Fatalf("Count = %d, want 1", box.Count())
+	}
+	waitGoroutines(t, before)
+	var clean PanicBox
+	if pe := Spawn(3, &clean, func(int) {}); pe != nil {
+		t.Fatalf("clean Spawn returned %v", pe)
+	}
+}

@@ -2,6 +2,7 @@ package par
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -20,6 +21,40 @@ func Workers(p int) int {
 	return p
 }
 
+// Spawn is the runtime's only goroutine-spawning site, the fork-join
+// primitive every parallel loop, the work-stealing scheduler and the LLP
+// drivers are built on. It runs body(w) for every w in [0, p) on its own
+// goroutine and returns once all of them have exited, so nothing it starts
+// outlives the call. A panic escaping body is recovered into panics (with
+// item -1; a body that knows which work item it was on captures its own
+// panic first), so a crashing worker neither kills the process nor leaks.
+// Spawn returns panics.Err(); panics must not be nil.
+func Spawn(p int, panics *PanicBox, body func(w int)) *PanicError {
+	var wg sync.WaitGroup
+	wg.Add(p)
+	for w := 0; w < p; w++ {
+		go func() {
+			defer wg.Done()
+			defer func() { panics.Capture(recover(), -1) }()
+			body(w)
+		}()
+	}
+	wg.Wait()
+	return panics.Err()
+}
+
+// chunking normalizes a chunked loop over n > 0 items: the grain
+// (DefaultGrain if grain <= 0) and the number of workers worth starting,
+// which is 1 when the whole range fits in one chunk or only one worker was
+// asked for — the loops then run the body inline, with no goroutine and no
+// allocation.
+func chunking(p, n, grain int) (workers, g int) {
+	if grain <= 0 {
+		grain = DefaultGrain
+	}
+	return min(Workers(p), (n+grain-1)/grain), grain
+}
+
 // For runs body over the index range [0, n) using p workers. The range is
 // handed out in chunks of size grain (DefaultGrain if grain <= 0) through a
 // shared atomic counter, which gives dynamic load balancing for irregular
@@ -29,111 +64,65 @@ func For(p, n, grain int, body func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	p = Workers(p)
-	if grain <= 0 {
-		grain = DefaultGrain
-	}
-	if p == 1 || n <= grain {
+	if w, _ := chunking(p, n, grain); w == 1 {
 		body(0, n)
 		return
 	}
-	if max := (n + grain - 1) / grain; p > max {
-		p = max
-	}
-	var next atomic.Int64
-	var panics PanicBox
-	var wg sync.WaitGroup
-	wg.Add(p)
-	for w := 0; w < p; w++ {
-		go func() {
-			cur := -1
-			defer wg.Done()
-			defer func() { panics.Capture(recover(), cur) }()
-			for {
-				lo := int(next.Add(int64(grain))) - grain
-				if lo >= n {
-					return
-				}
-				hi := lo + grain
-				if hi > n {
-					hi = n
-				}
-				cur = lo
-				body(lo, hi)
-			}
-		}()
-	}
-	wg.Wait()
-	// A worker panic is re-raised here, on the caller, only after every
-	// worker has exited (a panicking worker stops; its unclaimed chunks are
-	// still processed by the survivors, so non-panicking work completes).
-	panics.Rethrow()
+	ForW(p, n, grain, func(_, lo, hi int) { body(lo, hi) })
 }
 
 // ForW is For with the worker's index passed to body: body(w, lo, hi) may
 // use w (in [0, p)) to select per-worker state — an attributed collector
 // shard, a padded counter cell — without any further coordination. The
-// sequential fast path passes w = 0. Chunk scheduling is identical to For.
+// sequential fast path passes w = 0.
+//
+// A worker panic is re-raised on the caller as a *PanicError whose Item is
+// the panicking chunk's start, only after every worker has exited. The
+// panicking worker stops; its siblings keep claiming chunks, so the
+// non-panicking work completes.
 func ForW(p, n, grain int, body func(w, lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	p = Workers(p)
-	if grain <= 0 {
-		grain = DefaultGrain
-	}
-	if p == 1 || n <= grain {
+	p, g := chunking(p, n, grain)
+	if p == 1 {
 		body(0, 0, n)
 		return
 	}
-	if max := (n + grain - 1) / grain; p > max {
-		p = max
+	var s struct {
+		next   atomic.Int64
+		panics PanicBox
 	}
-	var next atomic.Int64
-	var panics PanicBox
-	var wg sync.WaitGroup
-	wg.Add(p)
-	for w := 0; w < p; w++ {
-		go func(self int) {
-			cur := -1
-			defer wg.Done()
-			defer func() { panics.Capture(recover(), cur) }()
-			for {
-				lo := int(next.Add(int64(grain))) - grain
-				if lo >= n {
-					return
-				}
-				hi := lo + grain
-				if hi > n {
-					hi = n
-				}
-				cur = lo
-				body(self, lo, hi)
+	if pe := Spawn(p, &s.panics, func(w int) {
+		lo := -1
+		defer func() { s.panics.Capture(recover(), lo) }()
+		for {
+			lo = int(s.next.Add(int64(g))) - g
+			if lo >= n {
+				return
 			}
-		}(w)
+			body(w, lo, min(lo+g, n))
+		}
+	}); pe != nil {
+		panic(pe)
 	}
-	wg.Wait()
-	panics.Rethrow()
 }
 
 // ForEach runs body(i) for every i in [0, n) using p workers. Convenience
-// wrapper over For for element-wise loops. The sequential cases loop inline
-// rather than going through For, so they allocate nothing (no wrapper
+// wrapper over ForW for element-wise loops. The sequential cases loop inline
+// rather than going through ForW, so they allocate nothing (no wrapper
 // closure) — algorithms calling ForEach once per round rely on this.
 func ForEach(p, n, grain int, body func(i int)) {
 	if n <= 0 {
 		return
 	}
-	if grain <= 0 {
-		grain = DefaultGrain
-	}
-	if Workers(p) == 1 || n <= grain {
+	if w, _ := chunking(p, n, grain); w == 1 {
 		for i := 0; i < n; i++ {
 			body(i)
 		}
 		return
 	}
-	For(p, n, grain, func(lo, hi int) {
+	ForW(p, n, grain, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			body(i)
 		}
@@ -141,27 +130,21 @@ func ForEach(p, n, grain int, body func(i int)) {
 }
 
 // Do runs the given thunks concurrently on up to p workers and waits for all
-// of them. Used for small fixed fan-outs (e.g. sorting halves).
+// of them. Used for small fixed fan-outs (e.g. sorting halves). A panicking
+// thunk is re-raised as a *PanicError whose Item is its index.
 func Do(p int, thunks ...func()) {
-	p = Workers(p)
-	if p == 1 || len(thunks) == 1 {
+	if Workers(p) == 1 || len(thunks) == 1 {
 		for _, t := range thunks {
 			t()
 		}
 		return
 	}
-	var panics PanicBox
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, p)
-	for i, t := range thunks {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, f func()) {
-			defer func() { <-sem; wg.Done() }()
-			defer func() { panics.Capture(recover(), i) }()
-			f()
-		}(i, t)
-	}
-	wg.Wait()
-	panics.Rethrow()
+	// Workers get a copy, so the caller's variadic array never escapes and
+	// the sequential path above stays allocation-free.
+	ts := slices.Clone(thunks)
+	ForW(p, len(ts), 1, func(_, lo, hi int) {
+		for _, t := range ts[lo:hi] {
+			t()
+		}
+	})
 }

@@ -97,8 +97,8 @@ func TestPackKeyRoundTrip(t *testing.T) {
 		if math.IsNaN(float64(w)) {
 			return true
 		}
-		gw, gid := UnpackKey(PackKey(w, id))
-		return gw == w && gid == id
+		k := PackKey(w, id)
+		return KeyWeight(k) == w && KeyID(k) == id
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -137,25 +137,8 @@ func TestWriteMinReturnsWhetherImproved(t *testing.T) {
 	if !WriteMin(&cell, PackKey(3, 0)) {
 		t.Fatal("WriteMin denied improvement with smaller value")
 	}
-	if w, _ := UnpackKey(cell); w != 3 {
+	if w := KeyWeight(cell); w != 3 {
 		t.Fatalf("cell weight %v, want 3", w)
-	}
-}
-
-func TestWriteMaxConcurrent(t *testing.T) {
-	var cell uint64
-	const n = 5000
-	ForEach(8, n, 8, func(i int) { WriteMax(&cell, uint64(i)) })
-	if cell != n-1 {
-		t.Fatalf("WriteMax result %d, want %d", cell, n-1)
-	}
-}
-
-func TestWriteMinU32(t *testing.T) {
-	cell := uint32(math.MaxUint32)
-	ForEach(8, 5000, 8, func(i int) { WriteMinU32(&cell, uint32(i+1)) })
-	if cell != 1 {
-		t.Fatalf("WriteMinU32 result %d, want 1", cell)
 	}
 }
 
@@ -189,20 +172,6 @@ func TestExclusiveScanMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestCountingScan(t *testing.T) {
-	offsets := CountingScan(4, 10, func(i int) int64 { return int64(i) })
-	if len(offsets) != 11 {
-		t.Fatalf("len = %d, want 11", len(offsets))
-	}
-	want := int64(0)
-	for i := 0; i <= 10; i++ {
-		if offsets[i] != want {
-			t.Fatalf("offsets[%d] = %d, want %d", i, offsets[i], want)
-		}
-		want += int64(i)
-	}
-}
-
 func TestPack(t *testing.T) {
 	n := 1 << 15
 	src := make([]int, n)
@@ -215,17 +184,17 @@ func TestPack(t *testing.T) {
 			want = append(want, i)
 		}
 	}
-	got := Pack(4, src, keep)
+	got := FilterInto(4, nil, src, nil, func(x int) bool { return keep[x] })
 	if !slices.Equal(got, want) {
-		t.Fatalf("Pack mismatch: got %d elems, want %d", len(got), len(want))
+		t.Fatalf("pack mismatch: got %d elems, want %d", len(got), len(want))
 	}
 }
 
 func TestPackIndex(t *testing.T) {
-	got := PackIndex(4, 10, func(i int) bool { return i%2 == 1 })
+	got := PackIndexInto(4, 10, nil, nil, func(i int) bool { return i%2 == 1 })
 	want := []uint32{1, 3, 5, 7, 9}
 	if !slices.Equal(got, want) {
-		t.Fatalf("PackIndex = %v, want %v", got, want)
+		t.Fatalf("PackIndexInto = %v, want %v", got, want)
 	}
 }
 
@@ -241,20 +210,6 @@ func TestSortUint64(t *testing.T) {
 		if !slices.Equal(s, want) {
 			t.Fatalf("n=%d: parallel sort differs from sequential", n)
 		}
-	}
-}
-
-func TestSortFunc(t *testing.T) {
-	n := 1 << 16
-	s := make([]int32, n)
-	for i := range s {
-		s[i] = rand.Int31n(1000)
-	}
-	want := slices.Clone(s)
-	slices.Sort(want)
-	SortFunc(4, s, func(a, b int32) bool { return a < b })
-	if !slices.Equal(s, want) {
-		t.Fatal("SortFunc differs from sequential sort")
 	}
 }
 
@@ -279,46 +234,19 @@ func TestSumInt64(t *testing.T) {
 	}
 }
 
-func TestMaxInt64(t *testing.T) {
-	got := MaxInt64(4, 1<<15, math.MinInt64, func(i int) int64 { return int64((i * 7919) % 100003) })
-	var want int64
-	for i := 0; i < 1<<15; i++ {
-		if v := int64((i * 7919) % 100003); v > want {
-			want = v
-		}
-	}
-	if got != want {
-		t.Fatalf("MaxInt64 = %d, want %d", got, want)
-	}
-}
-
 func TestCountTrueAndAny(t *testing.T) {
 	n := 10000
 	if got := CountTrue(4, n, func(i int) bool { return i%10 == 0 }); got != 1000 {
 		t.Fatalf("CountTrue = %d, want 1000", got)
 	}
-	if !Any(4, n, func(i int) bool { return i == n-1 }) {
-		t.Fatal("Any missed the last index")
+	if CountTrue(4, n, func(i int) bool { return i == n-1 }) != 1 {
+		t.Fatal("CountTrue missed the last index")
 	}
-	if Any(4, n, func(i int) bool { return false }) {
-		t.Fatal("Any found a nonexistent index")
+	if CountTrue(4, n, func(i int) bool { return false }) != 0 {
+		t.Fatal("CountTrue found a nonexistent index")
 	}
-	if Any(4, 0, func(i int) bool { return true }) {
-		t.Fatal("Any on empty range")
-	}
-}
-
-func TestReduceInt64Min(t *testing.T) {
-	got := ReduceInt64(4, 1000, math.MaxInt64,
-		func(i int) int64 { return int64(1000 - i) },
-		func(a, b int64) int64 {
-			if a < b {
-				return a
-			}
-			return b
-		})
-	if got != 1 {
-		t.Fatalf("min reduce = %d, want 1", got)
+	if CountTrue(4, 0, func(i int) bool { return true }) != 0 {
+		t.Fatal("CountTrue on empty range")
 	}
 }
 

@@ -1,27 +1,32 @@
 package par
 
-// Parallel reductions over index ranges. Used for graph statistics and for
-// the termination checks of round-synchronous LLP drivers.
-
-// ReduceInt64 reduces f(i) over [0, n) with the associative, commutative
-// combine function and the given identity, using p workers.
-func ReduceInt64(p, n int, identity int64, f func(i int) int64, combine func(a, b int64) int64) int64 {
-	return reduceChunks(p, n, identity, f, combine)
-}
+// Parallel reductions over index ranges, used for graph validation and
+// statistics.
 
 // SumInt64 returns the sum of f(i) for i in [0, n) computed with p workers.
+// Each worker accumulates chunk sums into its own cache-line-padded cell,
+// and the p cells are added up at the end.
 func SumInt64(p, n int, f func(i int) int64) int64 {
-	return reduceChunks(p, n, 0, f, func(a, b int64) int64 { return a + b })
-}
-
-// MaxInt64 returns the maximum of f(i) for i in [0, n), or identity if n==0.
-func MaxInt64(p, n int, identity int64, f func(i int) int64) int64 {
-	return reduceChunks(p, n, identity, f, func(a, b int64) int64 {
-		if a > b {
-			return a
+	var sum int64
+	if w, _ := chunking(p, n, DefaultGrain); n <= 0 || w == 1 {
+		for i := 0; i < n; i++ {
+			sum += f(i)
 		}
-		return b
+		return sum
+	}
+	p = Workers(p)
+	pad := PadBlock(nil, p)
+	ForW(p, n, DefaultGrain, func(w, lo, hi int) {
+		var s int64
+		for i := lo; i < hi; i++ {
+			s += f(i)
+		}
+		pad[w*PadStride] += s
 	})
+	for w := 0; w < p; w++ {
+		sum += pad[w*PadStride]
+	}
+	return sum
 }
 
 // CountTrue returns how many i in [0, n) satisfy pred.
@@ -32,40 +37,4 @@ func CountTrue(p, n int, pred func(i int) bool) int64 {
 		}
 		return 0
 	})
-}
-
-// Any reports whether pred(i) holds for at least one i in [0, n). It may
-// evaluate pred on all indices (no early exit across workers), which is fine
-// for the dense checks it is used for.
-func Any(p, n int, pred func(i int) bool) bool {
-	return CountTrue(p, n, pred) > 0
-}
-
-// reduceChunks evaluates the reduction chunk-wise: each worker-chunk reduces
-// locally, then the per-chunk results are folded sequentially. Per-chunk
-// results are delivered through a channel to avoid sharing accumulators.
-func reduceChunks(p, n int, identity int64, f func(i int) int64, combine func(a, b int64) int64) int64 {
-	p = Workers(p)
-	if p == 1 || n <= DefaultGrain {
-		acc := identity
-		for i := 0; i < n; i++ {
-			acc = combine(acc, f(i))
-		}
-		return acc
-	}
-	nchunks := (n + DefaultGrain - 1) / DefaultGrain
-	results := make(chan int64, nchunks)
-	For(p, n, DefaultGrain, func(lo, hi int) {
-		acc := identity
-		for i := lo; i < hi; i++ {
-			acc = combine(acc, f(i))
-		}
-		results <- acc
-	})
-	close(results)
-	acc := identity
-	for v := range results {
-		acc = combine(acc, v)
-	}
-	return acc
 }

@@ -60,72 +60,3 @@ func ExclusiveScan(p int, s []int64) int64 {
 	})
 	return total
 }
-
-// CountingScan computes, with p workers, the exclusive prefix sum of counts
-// produced by count(i) over [0, n), returning the offsets slice (length n+1,
-// offsets[n] = total). It is the "histogram then scan" idiom used to build
-// CSR structures and to compact subsets.
-func CountingScan(p, n int, count func(i int) int64) []int64 {
-	offsets := make([]int64, n+1)
-	ForEach(p, n, 4096, func(i int) { offsets[i] = count(i) })
-	total := ExclusiveScan(p, offsets[:n])
-	offsets[n] = total
-	return offsets
-}
-
-// Pack copies the elements of src whose keep flag is set into a fresh slice,
-// preserving order, using p workers. keep[i] governs src[i].
-func Pack[T any](p int, src []T, keep []bool) []T {
-	n := len(src)
-	offsets := CountingScan(p, n, func(i int) int64 {
-		if keep[i] {
-			return 1
-		}
-		return 0
-	})
-	out := make([]T, offsets[n])
-	ForEach(p, n, 4096, func(i int) {
-		if keep[i] {
-			out[offsets[i]] = src[i]
-		}
-	})
-	return out
-}
-
-// PackFunc copies the elements of src satisfying keep into a fresh slice,
-// preserving order, using p workers. keep must be pure (it is evaluated
-// twice per element: count pass and copy pass).
-func PackFunc[T any](p int, src []T, keep func(T) bool) []T {
-	n := len(src)
-	offsets := CountingScan(p, n, func(i int) int64 {
-		if keep(src[i]) {
-			return 1
-		}
-		return 0
-	})
-	out := make([]T, offsets[n])
-	ForEach(p, n, 4096, func(i int) {
-		if keep(src[i]) {
-			out[offsets[i]] = src[i]
-		}
-	})
-	return out
-}
-
-// PackIndex returns the indices i in [0, n) for which keep(i) is true, in
-// increasing order, computed with p workers.
-func PackIndex(p, n int, keep func(i int) bool) []uint32 {
-	offsets := CountingScan(p, n, func(i int) int64 {
-		if keep(i) {
-			return 1
-		}
-		return 0
-	})
-	out := make([]uint32, offsets[n])
-	ForEach(p, n, 4096, func(i int) {
-		if keep(i) {
-			out[offsets[i]] = uint32(i)
-		}
-	})
-	return out
-}

@@ -1,9 +1,6 @@
 package par
 
-import (
-	"slices"
-	"sort"
-)
+import "slices"
 
 // Parallel sorting. Kruskal and the contraction steps sort edge arrays; on
 // large inputs we use a chunked merge sort: p sorted runs produced with the
@@ -50,42 +47,4 @@ func mergeU64(a, b, out []uint64) {
 	}
 	copy(out[k:], a[i:])
 	copy(out[k+len(a)-i:], b[j:])
-}
-
-// SortFunc sorts s with the given strict-weak less function using up to p
-// workers (parallel merge sort over stdlib-sorted runs).
-func SortFunc[T any](p int, s []T, less func(a, b T) bool) {
-	p = Workers(p)
-	if p == 1 || len(s) <= sortSeqCutoff {
-		sort.Slice(s, func(i, j int) bool { return less(s[i], s[j]) })
-		return
-	}
-	mergeSortFunc(p, s, make([]T, len(s)), less)
-}
-
-func mergeSortFunc[T any](p int, s, tmp []T, less func(a, b T) bool) {
-	if p <= 1 || len(s) <= sortSeqCutoff {
-		sort.Slice(s, func(i, j int) bool { return less(s[i], s[j]) })
-		return
-	}
-	mid := len(s) / 2
-	Do(2,
-		func() { mergeSortFunc(p/2, s[:mid], tmp[:mid], less) },
-		func() { mergeSortFunc(p-p/2, s[mid:], tmp[mid:], less) },
-	)
-	copy(tmp, s)
-	a, b := tmp[:mid], tmp[mid:]
-	i, j, k := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		if less(b[j], a[i]) {
-			s[k] = b[j]
-			j++
-		} else {
-			s[k] = a[i]
-			i++
-		}
-		k++
-	}
-	copy(s[k:], a[i:])
-	copy(s[k+len(a)-i:], b[j:])
 }

@@ -185,9 +185,10 @@ func oracle(t *testing.T, g *graph.CSR) *mst.Forest {
 }
 
 // TestPickDensitySplit pins the auto portfolio's density heuristic: sparse
-// graphs lead with LLP-Boruvka, dense with LLP-Prim-Async, and very dense
-// (m >= 16n) with the semiring sparse-matrix backend; the backup always
-// comes from the other family. Explicit configuration overrides all of it.
+// graphs lead with LLP-Boruvka, dense (m >= 4n, however dense) with
+// LLP-Prim-Async, so the semiring backend is never picked automatically;
+// the backup always comes from the other family. Explicit configuration
+// overrides all of it.
 func TestPickDensitySplit(t *testing.T) {
 	r := New(Config{})
 	cases := []struct {
@@ -197,7 +198,7 @@ func TestPickDensitySplit(t *testing.T) {
 	}{
 		{"sparse", gen.ErdosRenyi(1, 400, 900, gen.WeightUniform, 3), mst.AlgLLPBoruvka, mst.AlgLLPPrimAsync},
 		{"dense", gen.ErdosRenyi(1, 200, 1600, gen.WeightUniform, 4), mst.AlgLLPPrimAsync, mst.AlgLLPBoruvka},
-		{"very-dense", gen.ErdosRenyi(1, 100, 3200, gen.WeightUniform, 5), mst.AlgSemiringBoruvka, mst.AlgLLPPrimAsync},
+		{"very-dense", gen.ErdosRenyi(1, 100, 3200, gen.WeightUniform, 5), mst.AlgLLPPrimAsync, mst.AlgLLPBoruvka},
 	}
 	for _, tc := range cases {
 		primary, backup := r.pick(tc.g, sizeBucket(tc.g))

@@ -100,3 +100,30 @@ func TestBagCancellation(t *testing.T) {
 		t.Fatalf("pre-cancelled Bag run processed %d items", n.Load())
 	}
 }
+
+// TestBagPerCallAllocationCeilings pins what one warm Bag run may allocate
+// at one and two workers (the counts measured before the engine was
+// rebuilt over par.Spawn), so the two-worker path cannot gain per-call
+// allocations unnoticed either.
+func TestBagPerCallAllocationCeilings(t *testing.T) {
+	if raceTestEnabled {
+		t.Skip("allocation counts are perturbed by the race detector")
+	}
+	var bag Bag[int]
+	items := []int{0, 1}
+	process := func(int, func(int)) {}
+	ctx := context.Background()
+	for _, c := range []struct {
+		p       int
+		ceiling float64
+	}{{1, 0}, {2, 15}} {
+		if err := bag.ForEachObs(ctx, c.p, items, process, obs.Nop{}); err != nil {
+			t.Fatal(err)
+		}
+		if got := testing.AllocsPerRun(200, func() {
+			_ = bag.ForEachObs(ctx, c.p, items, process, obs.Nop{})
+		}); got > c.ceiling {
+			t.Errorf("warm Bag run at %d workers: %v allocations per call, ceiling %v", c.p, got, c.ceiling)
+		}
+	}
+}

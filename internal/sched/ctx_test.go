@@ -55,11 +55,11 @@ func TestForEachAsyncPushGrowsStack(t *testing.T) {
 func TestForEachAsyncCtxDrainsWithoutCancel(t *testing.T) {
 	for _, p := range []int{1, 4} {
 		var n atomic.Int64
-		err := ForEachAsyncCtx(context.Background(), p, []int{1, 2, 3}, func(x int, push func(int)) {
+		err := new(Bag[int]).ForEachObs(context.Background(), p, []int{1, 2, 3}, func(x int, push func(int)) {
 			if n.Add(1); x < 50 {
 				push(x + 10)
 			}
-		})
+		}, nil)
 		if err != nil {
 			t.Fatalf("p=%d: unexpected error %v", p, err)
 		}
@@ -71,7 +71,7 @@ func TestForEachAsyncCtxPreCancelled(t *testing.T) {
 	cancel()
 	for _, p := range []int{1, 4} {
 		var n atomic.Int64
-		err := ForEachAsyncCtx(ctx, p, []int{1, 2, 3}, func(x int, push func(int)) { n.Add(1) })
+		err := new(Bag[int]).ForEachObs(ctx, p, []int{1, 2, 3}, func(x int, push func(int)) { n.Add(1) }, nil)
 		if err == nil {
 			t.Fatalf("p=%d: no error from pre-cancelled context", p)
 		}
@@ -91,13 +91,13 @@ func TestForEachAsyncCtxCancelMidRun(t *testing.T) {
 		start := time.Now()
 		// Self-sustaining workload: every item pushes two more. Without
 		// cancellation this never quiesces; the run can only end through ctx.
-		err := ForEachAsyncCtx(ctx, p, []int{1}, func(x int, push func(int)) {
+		err := new(Bag[int]).ForEachObs(ctx, p, []int{1}, func(x int, push func(int)) {
 			if n.Add(1) == 2000 {
 				cancel()
 			}
 			push(x + 1)
 			push(x + 2)
-		})
+		}, nil)
 		if err == nil {
 			t.Fatalf("p=%d: cancelled run returned nil error", p)
 		}
@@ -113,12 +113,12 @@ func TestForEachAsyncCtxNoGoroutineLeak(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		ctx, cancel := context.WithCancel(context.Background())
 		var n atomic.Int64
-		_ = ForEachAsyncCtx(ctx, 4, []int{1}, func(x int, push func(int)) {
+		_ = new(Bag[int]).ForEachObs(ctx, 4, []int{1}, func(x int, push func(int)) {
 			if n.Add(1) == 500 {
 				cancel()
 			}
 			push(x + 1)
-		})
+		}, nil)
 		cancel()
 	}
 	// Workers are joined by wg.Wait before return, so the count settles
@@ -138,7 +138,7 @@ func TestForEachAsyncObsCounters(t *testing.T) {
 	for _, p := range []int{1, 4} {
 		rec := obs.NewRecording()
 		var processed atomic.Int64
-		err := ForEachAsyncObs(context.Background(), p, []int{0, 1, 2, 3}, func(x int, push func(int)) {
+		err := new(Bag[int]).ForEachObs(context.Background(), p, []int{0, 1, 2, 3}, func(x int, push func(int)) {
 			processed.Add(1)
 			if x < 100 {
 				push(x + 4)
@@ -162,54 +162,5 @@ func TestForEachAsyncObsCounters(t *testing.T) {
 		if len(rec.Spans()) == 0 {
 			t.Fatalf("p=%d: no scheduler span recorded", p)
 		}
-	}
-}
-
-func TestForEachOrderedCtx(t *testing.T) {
-	// Drains normally.
-	var order []uint64
-	err := ForEachOrderedCtx(context.Background(), 1, []uint64{5, 1, 3},
-		func(x uint64) uint64 { return x },
-		func(x uint64, push func(uint64)) { order = append(order, x) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(order) != 3 || order[0] != 1 || order[2] != 5 {
-		t.Fatalf("order = %v", order)
-	}
-	// Pre-cancelled: no work.
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	var n atomic.Int64
-	err = ForEachOrderedCtx(ctx, 2, []uint64{5, 1, 3},
-		func(x uint64) uint64 { return x },
-		func(x uint64, push func(uint64)) { n.Add(1) })
-	if err == nil {
-		t.Fatal("no error from pre-cancelled ordered run")
-	}
-	if n.Load() != 0 {
-		t.Fatalf("pre-cancelled ordered run processed %d items", n.Load())
-	}
-}
-
-func TestForEachOrderedObsCounters(t *testing.T) {
-	rec := obs.NewRecording()
-	err := ForEachOrderedObs(context.Background(), 2, []uint64{7, 7, 2, 9},
-		func(x uint64) uint64 { return x },
-		func(x uint64, push func(uint64)) {
-			if x == 2 {
-				push(4)
-			}
-		}, rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Levels: 2, 4, 7, 9.
-	if got := rec.Counter(obs.CtrSchedLevels); got != 4 {
-		t.Fatalf("levels = %d, want 4", got)
-	}
-	if rec.Counter(obs.CtrSchedPush) != 5 || rec.Counter(obs.CtrSchedPop) != 5 {
-		t.Fatalf("push=%d pop=%d, want 5/5",
-			rec.Counter(obs.CtrSchedPush), rec.Counter(obs.CtrSchedPop))
 	}
 }

@@ -19,38 +19,13 @@ import (
 // A panic in process stops the run: the first panic is captured as a
 // *par.PanicError, every other worker exits cleanly at its next item
 // boundary, and the PanicError is re-raised here once all workers have
-// joined — so even a crashing caller never leaks goroutines. Use the
-// Ctx/Obs variants to receive the panic as an ordinary error instead.
+// joined — so even a crashing caller never leaks goroutines. Use
+// Bag.ForEachObs to receive the panic as an ordinary error instead.
 func ForEachAsync[T any](p int, initial []T, process func(item T, push func(T))) {
 	var bag Bag[T]
-	_, pe := forEachAsync(&bag, nil, p, initial, process, obs.Nop{})
-	if pe != nil {
+	if _, pe := bag.run(nil, p, initial, process, obs.Nop{}); pe != nil {
 		panic(pe)
 	}
-}
-
-// ForEachAsyncCtx is ForEachAsync with cooperative cancellation: every
-// worker polls ctx at work-item granularity (strided in the hot loop, every
-// iteration when idle) and abandons the bag once the context is cancelled.
-// Returns nil when the bag drained to quiescence, and ctx's error when the
-// run was abandoned with items unprocessed. A collector attached to ctx via
-// obs.NewContext is honored.
-func ForEachAsyncCtx[T any](ctx context.Context, p int, initial []T, process func(item T, push func(T))) error {
-	return ForEachAsyncObs(ctx, p, initial, process, obs.FromContext(ctx))
-}
-
-// ForEachAsyncObs is ForEachAsyncCtx reporting scheduler traffic to col:
-// CtrSchedPush/CtrSchedPop item totals (initial items count as pushes),
-// CtrSchedSteal successful steals, and the maximum per-worker queue depth
-// as GaugeQueueDepth. col may be nil.
-//
-// A panic in process is recovered (reported as CtrSchedPanics), the
-// remaining workers exit at their next item boundary, and the first panic
-// is returned as a *par.PanicError once all workers have joined. A run that
-// both panicked and was cancelled reports the panic.
-func ForEachAsyncObs[T any](ctx context.Context, p int, initial []T, process func(item T, push func(T)), col obs.Collector) error {
-	var bag Bag[T]
-	return bag.ForEachObs(ctx, p, initial, process, col)
 }
 
 // Bag is a reusable arena for the async scheduler: the single-worker stack
@@ -58,9 +33,8 @@ func ForEachAsyncObs[T any](ctx context.Context, p int, initial []T, process fun
 // runs, so a caller that drives the scheduler repeatedly (LLP-Prim's bag R
 // restarts once per heap fix; mst.Workspace holds one Bag for exactly this)
 // pays no per-run queue allocations after the first. The zero value is
-// ready to use. A Bag serves one run at a time; the package-level
-// ForEachAsync* entry points use a fresh Bag per call and stay safe for
-// concurrent use.
+// ready to use. A Bag serves one run at a time; ForEachAsync uses a fresh
+// Bag per call and stays safe for concurrent use.
 type Bag[T any] struct {
 	stack  []T
 	queues []workQueue[T]
@@ -68,7 +42,8 @@ type Bag[T any] struct {
 	// Single-worker run state. Living in the Bag (rather than as locals that
 	// escape into per-run closures) makes repeated single-worker runs
 	// allocation-free: push and runOne are built once and read the current
-	// run's process/panics through the receiver.
+	// run's process/panics through the receiver. panics also collects the
+	// multi-worker runs' panics.
 	process func(item T, push func(T))
 	push    func(T)
 	runOne  func(i int, x T) bool
@@ -76,10 +51,24 @@ type Bag[T any] struct {
 	panics  par.PanicBox
 }
 
-// ForEachObs is ForEachAsyncObs drawing scheduler storage from the bag.
+// ForEachObs is ForEachAsync with cooperative cancellation and scheduler
+// telemetry, drawing scheduler storage from the bag. Every worker polls ctx
+// at work-item granularity (strided in the hot loop, every iteration when
+// idle) and abandons the bag once the context is cancelled: the result is
+// nil when the bag drained to quiescence, and ctx's error when the run was
+// abandoned with items unprocessed.
+//
+// Scheduler traffic goes to col (nil means none): CtrSchedPush/CtrSchedPop
+// item totals (initial items count as pushes), CtrSchedSteal successful
+// steals, and the maximum per-worker queue depth as GaugeQueueDepth.
+//
+// A panic in process is recovered (reported as CtrSchedPanics), the
+// remaining workers exit at their next item boundary, and the first panic
+// is returned as a *par.PanicError once all workers have joined. A run that
+// both panicked and was cancelled reports the panic.
 func (b *Bag[T]) ForEachObs(ctx context.Context, p int, initial []T, process func(item T, push func(T)), col obs.Collector) error {
 	cc := par.NewCanceller(ctx)
-	aborted, pe := forEachAsync(b, cc, p, initial, process, obs.Or(col))
+	aborted, pe := b.run(cc, p, initial, process, obs.Or(col))
 	if pe != nil {
 		return pe
 	}
@@ -145,15 +134,14 @@ func (b *Bag[T]) runSingle(cc *par.Canceller, initial []T, process func(item T, 
 	return aborted, b.panics.Err()
 }
 
-// forEachAsync is the shared engine. It reports whether the run was
-// abandoned before quiescence (always false with an inert canceller and no
-// panic) and the first worker panic, if any.
-func forEachAsync[T any](b *Bag[T], cc *par.Canceller, p int, initial []T, process func(item T, push func(T)), col obs.Collector) (aborted bool, perr *par.PanicError) {
+// run is the shared engine. It reports whether the run was abandoned
+// before quiescence (always false with an inert canceller and no panic)
+// and the first worker panic, if any.
+func (b *Bag[T]) run(cc *par.Canceller, p int, initial []T, process func(item T, push func(T)), col obs.Collector) (aborted bool, perr *par.PanicError) {
 	p = par.Workers(p)
 	if p == 1 {
 		return b.runSingle(cc, initial, process, col)
 	}
-	var panics par.PanicBox
 	defer col.Span("sched.async")()
 	col.Count(obs.CtrSchedPush, int64(len(initial)))
 	var pending atomic.Int64
@@ -173,91 +161,83 @@ func forEachAsync[T any](b *Bag[T], cc *par.Canceller, p int, initial []T, proce
 		q := &queues[i%p]
 		q.items = append(q.items, x)
 	}
-	var wg sync.WaitGroup
-	wg.Add(p)
-	for w := 0; w < p; w++ {
-		go func(self int) {
-			defer wg.Done()
-			// Registered before the flush defer below, so it runs after it:
-			// a panic raised by the flush itself (col is arbitrary user code)
-			// is boxed too instead of killing the process.
-			defer func() { panics.Capture(recover(), -1) }()
-			my := &queues[self]
-			// wcol is this worker's attributed view of the collector: a
-			// flight recorder hands back the worker's own shard (events carry
-			// the worker id, writes stay on the worker's cache lines), plain
-			// collectors pass through unchanged.
-			wcol := obs.ForWorker(col, self)
-			endWorker := wcol.Span("sched.worker")
-			var pushes, pops, steals, depth int64
-			items := 0
-			defer func() {
-				// Innermost-registered defers run first, so a panicking
-				// process unwinds through this recovery before the counter
-				// flush below — the flush always happens, and the worker
-				// exits cleanly either way (no goroutine is ever leaked).
-				if r := recover(); r != nil {
-					panics.Capture(r, items-1)
-					stopped.Store(true)
-				}
-				wcol.Count(obs.CtrSchedPush, pushes)
-				wcol.Count(obs.CtrSchedPop, pops)
-				wcol.Count(obs.CtrSchedSteal, steals)
-				wcol.Gauge(obs.GaugeQueueDepth, depth)
-				endWorker()
-			}()
-			push := func(x T) {
-				pending.Add(1)
-				pushes++
-				if l := int64(my.push(x)); l > depth {
-					depth = l
-				}
+	b.panics.Reset()
+	// A panic the worker below does not catch itself — one raised by the
+	// counter flush, since col is arbitrary user code — is boxed by Spawn.
+	par.Spawn(p, &b.panics, func(self int) {
+		my := &queues[self]
+		// wcol is this worker's attributed view of the collector: a flight
+		// recorder hands back the worker's own shard (events carry the
+		// worker id, writes stay on the worker's cache lines), plain
+		// collectors pass through unchanged.
+		wcol := obs.ForWorker(col, self)
+		endWorker := wcol.Span("sched.worker")
+		var pushes, pops, steals, depth int64
+		items := 0
+		defer func() {
+			// A panicking process unwinds through this recovery before the
+			// counter flush, so the flush always happens and the worker exits
+			// cleanly either way (no goroutine is ever leaked).
+			if r := recover(); r != nil {
+				b.panics.Capture(r, items-1)
+				stopped.Store(true)
 			}
-			for i := 0; ; i++ {
-				// A sibling's panic (or a cancel observed by a sibling) stops
-				// this worker at its next item boundary: mid-item state is
-				// never torn, the current process call always completes.
-				if stopped.Load() {
-					return
-				}
-				if cc.Stride(i) {
-					stopped.Store(true)
-					return
-				}
-				x, ok := my.pop()
-				if !ok {
-					x, ok = steal(queues, self)
-					if ok {
-						steals++
-					}
-				}
+			wcol.Count(obs.CtrSchedPush, pushes)
+			wcol.Count(obs.CtrSchedPop, pops)
+			wcol.Count(obs.CtrSchedSteal, steals)
+			wcol.Gauge(obs.GaugeQueueDepth, depth)
+			endWorker()
+		}()
+		push := func(x T) {
+			pending.Add(1)
+			pushes++
+			if l := int64(my.push(x)); l > depth {
+				depth = l
+			}
+		}
+		for i := 0; ; i++ {
+			// A sibling's panic (or a cancel observed by a sibling) stops
+			// this worker at its next item boundary: mid-item state is never
+			// torn, the current process call always completes.
+			if stopped.Load() {
+				return
+			}
+			if cc.Stride(i) {
+				stopped.Store(true)
+				return
+			}
+			x, ok := my.pop()
+			if !ok {
+				x, ok = steal(queues, self)
 				if ok {
-					pops++
-					items++
-					process(x, push)
-					pending.Add(-1)
-					continue
+					steals++
 				}
-				if pending.Load() == 0 || stopped.Load() {
-					return
-				}
-				// Idle: poll the context every spin, not just every stride —
-				// an idle worker must notice a cancelled run promptly even
-				// when the remaining items are hoarded by a stuck sibling.
-				if cc.Poll() {
-					stopped.Store(true)
-					return
-				}
-				runtime.Gosched()
 			}
-		}(w)
-	}
-	wg.Wait()
-	if n := panics.Count(); n > 0 {
+			if ok {
+				pops++
+				items++
+				process(x, push)
+				pending.Add(-1)
+				continue
+			}
+			if pending.Load() == 0 || stopped.Load() {
+				return
+			}
+			// Idle: poll the context every spin, not just every stride — an
+			// idle worker must notice a cancelled run promptly even when the
+			// remaining items are hoarded by a stuck sibling.
+			if cc.Poll() {
+				stopped.Store(true)
+				return
+			}
+			runtime.Gosched()
+		}
+	})
+	if n := b.panics.Count(); n > 0 {
 		col.Count(obs.CtrSchedPanics, int64(n))
 	}
 	// pending > 0 means items were abandoned in the queues.
-	return pending.Load() > 0, panics.Err()
+	return pending.Load() > 0, b.panics.Err()
 }
 
 // workQueue is one worker's LIFO queue. The owner pushes and pops at the
@@ -341,61 +321,23 @@ func steal[T any](queues []workQueue[T], self int) (T, bool) {
 // Worker panics follow the ForEachAsync contract: the first one is re-raised
 // here as a *par.PanicError after every worker has joined.
 func ForEachOrdered[T any](p int, initial []T, prio func(T) uint64, process func(item T, push func(T))) {
-	_, pe := forEachOrdered(nil, p, initial, prio, process, obs.Nop{})
-	if pe != nil {
-		panic(pe)
-	}
-}
-
-// ForEachOrderedCtx is ForEachOrdered with cooperative cancellation,
-// polled between level batches and (strided) per item. Returns nil on
-// quiescence and ctx's error when the run was abandoned. A collector
-// attached to ctx via obs.NewContext is honored.
-func ForEachOrderedCtx[T any](ctx context.Context, p int, initial []T, prio func(T) uint64, process func(item T, push func(T))) error {
-	return ForEachOrderedObs(ctx, p, initial, prio, process, obs.FromContext(ctx))
-}
-
-// ForEachOrderedObs is ForEachOrderedCtx reporting scheduler traffic to
-// col: CtrSchedLevels priority levels opened, CtrSchedPush/CtrSchedPop item
-// totals, and each level's batch size as GaugeFrontier. col may be nil.
-//
-// A panic in process is recovered (reported as CtrSchedPanics) and returned
-// as a *par.PanicError once all workers have joined; a run that both
-// panicked and was cancelled reports the panic.
-func ForEachOrderedObs[T any](ctx context.Context, p int, initial []T, prio func(T) uint64, process func(item T, push func(T)), col obs.Collector) error {
-	cc := par.NewCanceller(ctx)
-	aborted, pe := forEachOrdered(cc, p, initial, prio, process, obs.Or(col))
-	if pe != nil {
-		return pe
-	}
-	if aborted {
-		return cc.Err()
-	}
-	return nil
-}
-
-func forEachOrdered[T any](cc *par.Canceller, p int, initial []T, prio func(T) uint64, process func(item T, push func(T)), col obs.Collector) (aborted bool, perr *par.PanicError) {
-	defer col.Span("sched.ordered")()
-	// The level batches run through par.ForCollect, which re-raises a worker
-	// panic on this goroutine only after all its workers have joined; catch
-	// it here so the Obs/Ctx variants can hand it back as an error.
+	// The level batches run through par.ForCollect, which already re-raises
+	// a worker panic as a *par.PanicError; this also wraps the one a
+	// single-worker batch raises inline.
 	defer func() {
 		if r := recover(); r != nil {
-			perr = par.AsPanicError(r, -1)
-			col.Count(obs.CtrSchedPanics, 1)
-			aborted = true
+			panic(par.AsPanicError(r, -1))
 		}
 	}()
+	type pushed struct {
+		pr uint64
+		x  T
+	}
 	bins := map[uint64][]T{}
 	for _, x := range initial {
 		bins[prio(x)] = append(bins[prio(x)], x)
 	}
-	col.Count(obs.CtrSchedPush, int64(len(initial)))
-	var levels int64
 	for len(bins) > 0 {
-		if cc.Poll() {
-			return true, nil
-		}
 		// Find the minimum priority level.
 		first := true
 		var cur uint64
@@ -406,37 +348,13 @@ func forEachOrdered[T any](cc *par.Canceller, p int, initial []T, prio func(T) u
 		}
 		level := bins[cur]
 		delete(bins, cur)
-		col.Count(obs.CtrSchedLevels, 1)
-		levels++
-		// Each priority level is one "round" of the level-synchronous
-		// schedule; round-aware collectors segment their series here.
-		obs.MarkRound(col, levels)
 		for len(level) > 0 {
-			if cc.Poll() {
-				return true, nil
-			}
-			col.Gauge(obs.GaugeFrontier, int64(len(level)))
-			type pushed struct {
-				pr uint64
-				x  T
-			}
-			var pushes atomic.Int64
 			out := par.ForCollect(p, len(level), 64, func(lo, hi int, out []pushed) []pushed {
-				n := int64(0)
 				for i := lo; i < hi; i++ {
-					if cc.Stride(i) {
-						break
-					}
-					process(level[i], func(x T) {
-						n++
-						out = append(out, pushed{prio(x), x})
-					})
+					process(level[i], func(x T) { out = append(out, pushed{prio(x), x}) })
 				}
-				pushes.Add(n)
 				return out
 			})
-			col.Count(obs.CtrSchedPop, int64(len(level)))
-			col.Count(obs.CtrSchedPush, pushes.Load())
 			level = level[:0]
 			for _, u := range out {
 				if u.pr <= cur {
@@ -447,5 +365,4 @@ func forEachOrdered[T any](cc *par.Canceller, p int, initial []T, prio func(T) u
 			}
 		}
 	}
-	return false, nil
 }

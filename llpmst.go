@@ -181,8 +181,7 @@ func LLPBoruvka(g *Graph, opts Options) *Forest { f, _ := mst.LLPBoruvka(g, opts
 // SemiringBoruvka runs the sparse-matrix (GraphBLAS-style) Boruvka backend:
 // per-round min-edge selection as a min-plus semiring SpMV over the packed
 // (weight, id) keys, with no atomics in the row-reduction loop. It produces
-// the same unique MSF as every other algorithm here, and is the portfolio's
-// preferred backend on very dense graphs.
+// the same unique MSF as every other algorithm here.
 func SemiringBoruvka(g *Graph, opts Options) *Forest { f, _ := mst.SemiringBoruvka(g, opts); return f }
 
 // Kruskal runs the classical Kruskal's algorithm.
