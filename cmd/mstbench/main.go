@@ -58,7 +58,7 @@ func run(args []string, stdout io.Writer) error {
 		cpuProf    = fs.String("cpuprofile", "", "write a CPU profile of the experiments to this path")
 		memProf    = fs.String("memprofile", "", "write a heap profile after the experiments to this path")
 		timeout    = fs.Duration("timeout", 0, "cancel the run after this duration (0 = no limit); a timed-out run still reports completed rows")
-		traceOut   = fs.String("trace-out", "", "write the runtime phase timeline (spans, counters, gauge maxima) as JSON to this path")
+		traceOut   = fs.String("trace-out", "", "write the runtime phase timeline (spans, counters, gauge maxima, dropped-event count) as JSON to this path")
 		chromeOut  = fs.String("chrome-trace", "", "write a Chrome Trace Event JSON (load in Perfetto/chrome://tracing; one track per worker, round markers) to this path")
 		roundCSV   = fs.String("round-csv", "", "write the per-round convergence series (counter deltas and gauge samples per round) as CSV to this path")
 		pprofSrv   = fs.String("pprof", "", "serve net/http/pprof plus live /metrics (Prometheus) and /progress (JSON) on this address (e.g. localhost:6060) for the duration of the run")
@@ -76,45 +76,28 @@ func run(args []string, stdout io.Writer) error {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	var rec *obs.Recording
-	if *traceOut != "" {
-		rec = obs.NewRecording()
-	}
-	// The flight recorder powers the event-level exports (-chrome-trace,
-	// -round-csv) and the live /metrics + /progress endpoints; it is only
-	// constructed when one of those consumers is active, so plain runs keep
-	// the free Nop collector.
+	// One flight recorder serves every telemetry consumer: the -trace-out
+	// timeline, the event-level exports (-chrome-trace, -round-csv) and the
+	// live /metrics + /progress endpoints. It is only constructed when one
+	// of those is active, so plain runs keep the free Nop collector.
 	var flight *obs.FlightRecorder
-	if *chromeOut != "" || *roundCSV != "" || *pprofSrv != "" {
+	if *traceOut != "" || *chromeOut != "" || *roundCSV != "" || *pprofSrv != "" {
 		flight = obs.NewFlightRecorder(0, 0)
-	}
-	var col obs.Collector
-	switch {
-	case rec != nil && flight != nil:
-		col = obs.Tee(rec, flight)
-	case rec != nil:
-		col = rec
-	case flight != nil:
-		col = flight
-	}
-	if col != nil {
-		ctx = obs.NewContext(ctx, col)
+		ctx = obs.NewContext(ctx, flight)
 	}
 	if *pprofSrv != "" {
 		// A private mux (not http.DefaultServeMux directly) so repeated runs
 		// in one process never double-register handlers; pprof's handlers
 		// live on the default mux and are reached through the fallthrough.
 		mux := http.NewServeMux()
-		if flight != nil {
-			mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-				w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-				flight.WritePrometheus(w)
-			})
-			mux.HandleFunc("/progress", func(w http.ResponseWriter, _ *http.Request) {
-				w.Header().Set("Content-Type", "application/json")
-				flight.WriteProgress(w)
-			})
-		}
+		mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
+			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+			flight.WritePrometheus(w)
+		})
+		mux.HandleFunc("/progress", func(w http.ResponseWriter, _ *http.Request) {
+			w.Header().Set("Content-Type", "application/json")
+			flight.WriteProgress(w)
+		})
 		mux.Handle("/", http.DefaultServeMux)
 		srv := &http.Server{Addr: *pprofSrv, Handler: mux}
 		go srv.ListenAndServe()
@@ -288,21 +271,14 @@ func run(args []string, stdout io.Writer) error {
 			fmt.Fprintf(stdout, "wrote %s\n", p)
 		}
 	}
-	if rec != nil {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			return err
-		}
-		if err := rec.WriteTimeline(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "wrote %d spans to %s\n", len(rec.Spans()), *traceOut)
-	}
 	if flight != nil {
+		if *traceOut != "" {
+			if err := writeTo(*traceOut, flight.WriteTimeline); err != nil {
+				return err
+			}
+			fmt.Fprintf(stdout, "wrote timeline (%d events, %d dropped) to %s\n",
+				flight.Recorded(), flight.Dropped(), *traceOut)
+		}
 		if *chromeOut != "" {
 			if err := writeTo(*chromeOut, flight.WriteChromeTrace); err != nil {
 				return err

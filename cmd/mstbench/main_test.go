@@ -59,9 +59,10 @@ func TestRunConvergenceArtifacts(t *testing.T) {
 	dir := t.TempDir()
 	trace := filepath.Join(dir, "trace.json")
 	rounds := filepath.Join(dir, "rounds.csv")
+	timeline := filepath.Join(dir, "timeline.json")
 	var out bytes.Buffer
 	if err := run([]string{"-exp", "conv", "-scale", "test", "-trials", "1",
-		"-chrome-trace", trace, "-round-csv", rounds}, &out); err != nil {
+		"-chrome-trace", trace, "-round-csv", rounds, "-trace-out", timeline}, &out); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "Convergence") {
@@ -89,6 +90,24 @@ func TestRunConvergenceArtifacts(t *testing.T) {
 		if phases[ph] == 0 {
 			t.Errorf("chrome trace has no %q events (%v)", ph, phases)
 		}
+	}
+
+	// The timeline and the Chrome trace are two views of one recorder, so
+	// they list the same spans.
+	raw, err = os.ReadFile(timeline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tl struct {
+		Spans   []struct{ Name string } `json:"spans"`
+		Dropped *uint64                 `json:"dropped_events"`
+	}
+	if err := json.Unmarshal(raw, &tl); err != nil {
+		t.Fatalf("timeline is not valid JSON: %v", err)
+	}
+	if len(tl.Spans) == 0 || len(tl.Spans) != phases["X"] || tl.Dropped == nil {
+		t.Errorf("timeline has %d spans (dropped_events %v), chrome trace %d X events; want equal and nonzero",
+			len(tl.Spans), tl.Dropped, phases["X"])
 	}
 
 	f, err := os.Open(rounds)

@@ -362,7 +362,9 @@ type server struct {
 }
 
 func newServer(cfg serverConfig) *server {
-	flight := obs.NewFlightRecorder(1, 1<<16)
+	// One shard per solve worker: a solve's workers then record spans and
+	// counts on cursors of their own instead of contending for one.
+	flight := obs.NewFlightRecorder(cfg.workers, 1<<16)
 	rcfg := cfg.resilient
 	rcfg.Observer = flight
 	if cfg.deadline > 0 {

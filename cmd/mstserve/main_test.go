@@ -174,6 +174,36 @@ func TestMetricsReportBreakersAndRunnerStats(t *testing.T) {
 	}
 }
 
+// The backend that answered a solve shows up in the server-wide span
+// histogram: portfolio legs report their algorithm spans to the recorder
+// behind /metrics.
+func TestMetricsSpanHistogramHasWinningBackend(t *testing.T) {
+	g := gen.ErdosRenyi(1, 300, 1200, gen.WeightUniform, 8)
+	var buf bytes.Buffer
+	if err := graph.WriteBinary(&buf, g); err != nil {
+		t.Fatal(err)
+	}
+	h := testServer(t, nil).handler()
+	rec := postGraph(t, h, "/solve", buf.Bytes())
+	if rec.Code != http.StatusOK {
+		t.Fatalf("solve: status %d: %s", rec.Code, rec.Body.String())
+	}
+	var reply solveReply
+	if err := json.Unmarshal(rec.Body.Bytes(), &reply); err != nil {
+		t.Fatal(err)
+	}
+	if reply.Algorithm == "" || reply.Fallback {
+		t.Fatalf("solve answered by %q (fallback %v); want a portfolio backend", reply.Algorithm, reply.Fallback)
+	}
+
+	rec = httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	want := `llpmst_span_duration_seconds_count{span="` + reply.Algorithm + `"} `
+	if !strings.Contains(rec.Body.String(), want) {
+		t.Fatalf("metrics payload missing %q:\n%s", want, rec.Body.String())
+	}
+}
+
 func TestSolveShedsUnderConcurrencyLimit(t *testing.T) {
 	g := gen.ErdosRenyi(1, 50, 150, gen.WeightUniform, 6)
 	var buf bytes.Buffer

@@ -135,21 +135,21 @@ func TestPublicObserverAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := llpmst.NewRecordingObserver()
+	rec := llpmst.NewFlightRecorder(0, 0)
 	if _, err := llpmst.RunCtx(context.Background(), llpmst.AlgLLPBoruvka, g,
 		llpmst.Options{Workers: 2, Observer: rec}); err != nil {
 		t.Fatal(err)
 	}
-	if len(rec.Spans()) == 0 {
-		t.Fatal("recording observer captured no spans")
+	if len(rec.SpanSummaries()) == 0 {
+		t.Fatal("flight recorder captured no spans")
 	}
 	// The ctx-carried route must reach the same collector.
-	rec2 := llpmst.NewRecordingObserver()
+	rec2 := llpmst.NewFlightRecorder(0, 0)
 	ctx := llpmst.WithObserver(context.Background(), rec2)
 	if _, err := llpmst.MinimumSpanningForestCtx(ctx, g, llpmst.Options{Workers: 2}); err != nil {
 		t.Fatal(err)
 	}
-	if len(rec2.Spans()) == 0 {
+	if len(rec2.SpanSummaries()) == 0 {
 		t.Fatal("ctx-carried observer captured no spans")
 	}
 }

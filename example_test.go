@@ -93,9 +93,9 @@ func ExampleMinimumSpanningForestCtx() {
 }
 
 func ExampleOptions_observer() {
-	// A RecordingObserver captures the run's telemetry: phase spans,
+	// A FlightRecorder captures the run's telemetry: phase spans,
 	// scheduler counters, contraction rounds, gauge maxima.
-	rec := llpmst.NewRecordingObserver()
+	rec := llpmst.NewFlightRecorder(0, 0)
 	f, err := llpmst.Run(llpmst.AlgLLPBoruvka, paperGraph(), llpmst.Options{
 		Workers:  2,
 		Observer: rec,
@@ -104,7 +104,7 @@ func ExampleOptions_observer() {
 		panic(err)
 	}
 	fmt.Println(f.Weight)
-	fmt.Println(len(rec.Spans()) > 0)
+	fmt.Println(len(rec.SpanSummaries()) > 0)
 	// Output:
 	// 16
 	// true

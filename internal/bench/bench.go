@@ -176,15 +176,10 @@ type Result struct {
 	BytesPerOp  int64   `json:"bytes_per_op"`  // min-of-trials heap bytes per run
 }
 
-// Measure runs the algorithm `trials` times and returns the best wall time,
-// verifying the structural validity of the produced forest once.
-func Measure(g *graph.CSR, alg mst.Algorithm, opts mst.Options, trials int) (Result, error) {
-	return MeasureCtx(context.Background(), g, alg, opts, trials)
-}
-
-// MeasureCtx is Measure under a context: the context is installed into the
-// run's Options (cancelling every trial cooperatively) and any collector it
-// carries observes each trial's phases. A cancelled trial aborts the whole
+// MeasureCtx runs the algorithm `trials` times and returns the best wall time,
+// verifying the structural validity of the produced forest once. ctx is
+// installed into the run's Options (cancelling every trial cooperatively)
+// and any collector it carries observes each trial's phases. A cancelled trial aborts the whole
 // measurement with its error.
 func MeasureCtx(ctx context.Context, g *graph.CSR, alg mst.Algorithm, opts mst.Options, trials int) (Result, error) {
 	if trials < 1 {

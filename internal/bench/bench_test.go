@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -61,14 +62,14 @@ func TestMeasureValidatesForest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := Measure(g, mst.AlgKruskal, mst.Options{Workers: 2}, 2)
+	r, err := MeasureCtx(context.Background(), g, mst.AlgKruskal, mst.Options{Workers: 2}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.Millis <= 0 || r.Edges != g.NumVertices()-1 {
 		t.Fatalf("bad result %+v", r)
 	}
-	if _, err := Measure(g, "bogus", mst.Options{}, 1); err == nil {
+	if _, err := MeasureCtx(context.Background(), g, "bogus", mst.Options{}, 1); err == nil {
 		t.Fatal("bogus algorithm accepted")
 	}
 }
@@ -92,7 +93,7 @@ func TestTableI(t *testing.T) {
 
 func TestFig2(t *testing.T) {
 	var buf bytes.Buffer
-	rs, err := Fig2(&buf, ScaleTest, 1)
+	rs, err := Fig2Ctx(context.Background(), &buf, ScaleTest, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +120,7 @@ func TestFig2(t *testing.T) {
 func TestFig3(t *testing.T) {
 	var buf bytes.Buffer
 	threads := []int{1, 2}
-	rs, err := Fig3(&buf, ScaleTest, 1, threads)
+	rs, err := Fig3Ctx(context.Background(), &buf, ScaleTest, 1, threads)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +136,7 @@ func TestFig3(t *testing.T) {
 
 func TestFig4(t *testing.T) {
 	var buf bytes.Buffer
-	rs, err := Fig4(&buf, ScaleTest, 1, 2, 4)
+	rs, err := Fig4Ctx(context.Background(), &buf, ScaleTest, 1, 2, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +148,7 @@ func TestFig4(t *testing.T) {
 
 func TestSizeSweep(t *testing.T) {
 	var buf bytes.Buffer
-	rs, err := SizeSweep(&buf, ScaleTest, 1, 2)
+	rs, err := SizeSweepCtx(context.Background(), &buf, ScaleTest, 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +159,7 @@ func TestSizeSweep(t *testing.T) {
 
 func TestAblation(t *testing.T) {
 	var buf bytes.Buffer
-	rs, err := Ablation(&buf, ScaleTest, 1, 2)
+	rs, err := AblationCtx(context.Background(), &buf, ScaleTest, 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +178,7 @@ func TestAblation(t *testing.T) {
 
 func TestWorkExperiment(t *testing.T) {
 	var buf bytes.Buffer
-	rows, err := Work(&buf, ScaleTest)
+	rows, err := WorkCtx(context.Background(), &buf, ScaleTest)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +209,7 @@ func TestWorkExperiment(t *testing.T) {
 
 func TestDistributedExperiment(t *testing.T) {
 	var buf bytes.Buffer
-	rows, err := Distributed(&buf, ScaleTest)
+	rows, err := DistributedCtx(context.Background(), &buf, ScaleTest)
 	if err != nil {
 		t.Fatal(err)
 	}

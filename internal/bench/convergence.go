@@ -9,19 +9,14 @@ import (
 	"llpmst/internal/obs"
 )
 
-// Convergence reproduces the paper's convergence-dynamics view: one
+// ConvergenceCtx reproduces the paper's convergence-dynamics view: one
 // contraction-algorithm run per dataset with a flight recorder attached,
 // printed as a per-round table (live edges entering the round, pointer-jump
 // sweeps and advances spent flattening it). This is the data behind the
 // claim that LLP-Boruvka's rounds shrink the edge set geometrically while
-// each round needs only a handful of jump sweeps.
-func Convergence(w io.Writer, sc Scale, workers int) ([]Result, error) {
-	return ConvergenceCtx(context.Background(), w, sc, workers)
-}
-
-// ConvergenceCtx is Convergence under a context (cancellation stops between
-// runs; a collector carried on ctx still sees every run, tee'd with the
-// per-run recorder).
+// each round needs only a handful of jump sweeps. Cancelling ctx stops
+// between runs; a collector carried on ctx still sees every run, tee'd with
+// the per-run recorder.
 func ConvergenceCtx(ctx context.Context, w io.Writer, sc Scale, workers int) ([]Result, error) {
 	algs := []mst.Algorithm{mst.AlgParallelBoruvka, mst.AlgLLPBoruvka}
 	var results []Result

@@ -44,17 +44,12 @@ type DistRow struct {
 	Stats    dist.SimStats
 }
 
-// Distributed measures the GHS-style protocol's costs across growing road
+// DistributedCtx measures the GHS-style protocol's costs across growing road
 // networks and a Kronecker graph: phases (should stay within log2 n),
 // rounds, and total messages (the classic GHS bound is O(m + n log n)).
 // Wall time is irrelevant here — the simulation is sequential — so this
-// experiment is meaningful on any host.
-func Distributed(w io.Writer, sc Scale) ([]DistRow, error) {
-	return DistributedCtx(context.Background(), w, sc)
-}
-
-// DistributedCtx is Distributed under a context: the protocol simulation
-// polls the context between message rounds (see dist.RunGHS).
+// experiment is meaningful on any host. The protocol simulation polls ctx
+// between message rounds (see dist.RunGHS).
 func DistributedCtx(ctx context.Context, w io.Writer, sc Scale) ([]DistRow, error) {
 	graphs := distGraphs(sc)
 	var rows []DistRow

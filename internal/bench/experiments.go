@@ -38,15 +38,11 @@ func TableI(w io.Writer, sc Scale) ([]Result, error) {
 	return results, nil
 }
 
-// Fig2 reproduces the single-threaded comparison of Fig. 2: Prim, LLP-Prim
+// Fig2Ctx reproduces the single-threaded comparison of Fig. 2: Prim, LLP-Prim
 // (1 thread) and Boruvka (1 thread) on the road and Kronecker graphs. The
 // paper's shape: Prim-family ~3x faster than Boruvka; LLP-Prim(1T) ~21-27%
 // faster than Prim.
-func Fig2(w io.Writer, sc Scale, trials int) ([]Result, error) {
-	return Fig2Ctx(context.Background(), w, sc, trials)
-}
-
-// Fig2Ctx is Fig2 under a context (see MeasureCtx).
+// ctx cancels and observes the runs as in MeasureCtx.
 func Fig2Ctx(ctx context.Context, w io.Writer, sc Scale, trials int) ([]Result, error) {
 	algs := []mst.Algorithm{mst.AlgPrim, mst.AlgLLPPrim, mst.AlgBoruvka}
 	var results []Result
@@ -83,17 +79,13 @@ func Fig2Ctx(ctx context.Context, w io.Writer, sc Scale, trials int) ([]Result, 
 	return results, nil
 }
 
-// Fig3 reproduces the thread sweep of Fig. 3 on the road network: LLP-Prim,
+// Fig3Ctx reproduces the thread sweep of Fig. 3 on the road network: LLP-Prim,
 // parallel Boruvka and LLP-Boruvka across worker counts, with per-algorithm
 // speedup over its own 1-worker time. The paper's shape: LLP-Prim leads at
 // low worker counts but tapers/regresses around 8; the Boruvka-based
 // algorithms scale near-linearly and overtake around 8 threads, with
 // LLP-Boruvka ahead of Boruvka throughout.
-func Fig3(w io.Writer, sc Scale, trials int, threads []int) ([]Result, error) {
-	return Fig3Ctx(context.Background(), w, sc, trials, threads)
-}
-
-// Fig3Ctx is Fig3 under a context (see MeasureCtx).
+// ctx cancels and observes the runs as in MeasureCtx.
 func Fig3Ctx(ctx context.Context, w io.Writer, sc Scale, trials int, threads []int) ([]Result, error) {
 	if len(threads) == 0 {
 		threads = DefaultThreads
@@ -133,15 +125,11 @@ func Fig3Ctx(ctx context.Context, w io.Writer, sc Scale, trials int, threads []i
 	return results, nil
 }
 
-// Fig4 reproduces Fig. 4: every parallel algorithm at a low and a high
+// Fig4Ctx reproduces Fig. 4: every parallel algorithm at a low and a high
 // worker count, across graph morphologies. The paper's shape: LLP-Prim best
 // at low counts and on denser graphs; Boruvka-family best at high counts
 // with LLP-Boruvka modestly ahead.
-func Fig4(w io.Writer, sc Scale, trials int, lowP, highP int) ([]Result, error) {
-	return Fig4Ctx(context.Background(), w, sc, trials, lowP, highP)
-}
-
-// Fig4Ctx is Fig4 under a context (see MeasureCtx).
+// ctx cancels and observes the runs as in MeasureCtx.
 func Fig4Ctx(ctx context.Context, w io.Writer, sc Scale, trials int, lowP, highP int) ([]Result, error) {
 	if lowP <= 0 {
 		lowP = 4
@@ -178,14 +166,10 @@ func Fig4Ctx(ctx context.Context, w io.Writer, sc Scale, trials int, lowP, highP
 	return results, nil
 }
 
-// SizeSweep reproduces the §VII.C remark: graphs of the same morphology at
+// SizeSweepCtx reproduces the §VII.C remark: graphs of the same morphology at
 // different sizes show analogous behaviour. Runs the three parallel
 // algorithms across the scales up to maxScale at a fixed worker count.
-func SizeSweep(w io.Writer, maxScale Scale, trials, workers int) ([]Result, error) {
-	return SizeSweepCtx(context.Background(), w, maxScale, trials, workers)
-}
-
-// SizeSweepCtx is SizeSweep under a context (see MeasureCtx).
+// ctx cancels and observes the runs as in MeasureCtx.
 func SizeSweepCtx(ctx context.Context, w io.Writer, maxScale Scale, trials, workers int) ([]Result, error) {
 	if workers <= 0 {
 		workers = 8
@@ -217,18 +201,14 @@ func SizeSweepCtx(ctx context.Context, w io.Writer, maxScale Scale, trials, work
 	return results, nil
 }
 
-// Ablation measures the design choices DESIGN.md calls out:
+// AblationCtx measures the design choices DESIGN.md calls out:
 //
 //	(a) LLP-Prim without MWE early fixing (degenerates towards lazy Prim),
 //	(b) LLP-Prim without the Q staging set (heap churn returns),
 //	(c) LLP-Boruvka's pointer jumping under the three LLP drivers,
 //	(d) Prim's heap choice: indexed binary vs lazy binary vs pairing.
-func Ablation(w io.Writer, sc Scale, trials, workers int) ([]Result, error) {
-	return AblationCtx(context.Background(), w, sc, trials, workers)
-}
-
-// AblationCtx is Ablation under a context: each ablation case runs with the
-// context installed in its Options.
+//
+// Each ablation case runs with ctx installed in its Options.
 func AblationCtx(ctx context.Context, w io.Writer, sc Scale, trials, workers int) ([]Result, error) {
 	if workers <= 0 {
 		workers = 8

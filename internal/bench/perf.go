@@ -9,7 +9,7 @@ import (
 	"llpmst/internal/mst"
 )
 
-// Perf measures the repo's benchmark trajectory: every parallel algorithm
+// PerfCtx measures the repo's benchmark trajectory: every parallel algorithm
 // against the sequential Prim baseline on the Table I stand-ins, at one
 // worker and at GOMAXPROCS, with a reused Workspace warmed by one untimed
 // run so the numbers reflect steady state (allocs_per_op is the point of the
@@ -18,11 +18,7 @@ import (
 // The rows are what `mstbench -json-out` snapshots into BENCH_perf.json;
 // committing that file after perf-relevant changes gives future sessions a
 // diffable trajectory instead of a single point.
-func Perf(w io.Writer, sc Scale, trials int) ([]Result, error) {
-	return PerfCtx(context.Background(), w, sc, trials)
-}
-
-// PerfCtx is Perf under a context (see MeasureCtx).
+// ctx cancels and observes the runs as in MeasureCtx.
 func PerfCtx(ctx context.Context, w io.Writer, sc Scale, trials int) ([]Result, error) {
 	procs := runtime.GOMAXPROCS(0)
 	workerSets := []int{1, procs}

@@ -10,18 +10,14 @@ import (
 	"llpmst/internal/mst"
 )
 
-// Semi measures the semiring sparse-matrix backend against the pointer-based
+// SemiCtx measures the semiring sparse-matrix backend against the pointer-based
 // Boruvka implementations across a density sweep × workers sweep: the
 // GraphBLAS-style formulation trades the pointer algorithms' atomic
 // write-min scatter for regular row streaming, so its advantage should grow
 // with average degree (longer matrix rows amortize the per-round relabel).
 // The rows are what `mstbench -exp semi -json-out` snapshots into
 // BENCH_semi.json; EXPERIMENTS.md reads that trajectory.
-func Semi(w io.Writer, sc Scale, trials int) ([]Result, error) {
-	return SemiCtx(context.Background(), w, sc, trials)
-}
-
-// SemiCtx is Semi under a context (see MeasureCtx).
+// ctx cancels and observes the runs as in MeasureCtx.
 func SemiCtx(ctx context.Context, w io.Writer, sc Scale, trials int) ([]Result, error) {
 	procs := runtime.GOMAXPROCS(0)
 	workerSets := []int{1, procs}

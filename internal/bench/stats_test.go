@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -49,7 +50,7 @@ func TestMeasureFillsSpreadFields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := Measure(g, mst.AlgKruskal, mst.Options{Workers: 1}, 3)
+	r, err := MeasureCtx(context.Background(), g, mst.AlgKruskal, mst.Options{Workers: 1}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

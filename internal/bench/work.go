@@ -15,17 +15,13 @@ type WorkRow struct {
 	Metrics   mst.WorkMetrics
 }
 
-// Work measures operation counts instead of wall time: heap traffic and
+// WorkCtx measures operation counts instead of wall time: heap traffic and
 // early fixes for the Prim family (the abstract's "reduces the number of
 // heap operations required by Prim"), and rounds/synchronization-free jump
 // advances for the Boruvka family. These counts are independent of the host
 // (core count, clock, contention), so they reproduce the paper's mechanism
 // claims even on machines unlike its 48-vCPU testbed.
-func Work(w io.Writer, sc Scale) ([]WorkRow, error) {
-	return WorkCtx(context.Background(), w, sc)
-}
-
-// WorkCtx is Work under a context (see MeasureCtx).
+// ctx cancels and observes the runs as in MeasureCtx.
 func WorkCtx(ctx context.Context, w io.Writer, sc Scale) ([]WorkRow, error) {
 	algs := []mst.Algorithm{
 		mst.AlgPrim, mst.AlgPrimLazy, mst.AlgLLPPrim,

@@ -234,7 +234,7 @@ func TestChaosCancellation(t *testing.T) {
 // RunGHSFaulty must report the fault counters through the observability
 // layer, matching SimStats.
 func TestChaosObsCounters(t *testing.T) {
-	rec := obs.NewRecording()
+	rec := obs.NewFlightRecorder(0, 0)
 	ctx := obs.NewContext(context.Background(), rec)
 	g := gen.RMAT(1, 7, 8, gen.WeightUniform, 4)
 	_, stats, err := RunGHSFaulty(ctx, g, chaosPlan(8))

@@ -111,9 +111,12 @@ func TestFlightRecorderRoundSeriesFromAlgorithms(t *testing.T) {
 
 // TestFlightRecorderWorkerSpans checks that parallel runs actually put
 // chunk spans on worker tracks — the "one track per worker" acceptance
-// criterion, exercised end to end.
+// criterion, exercised end to end. The parents phase hands out 2048-vertex
+// chunks, so the graph is sized for ~20 chunks in the first round and
+// several in the next: too many for one worker to take them all before the
+// others start, even under the race detector.
 func TestFlightRecorderWorkerSpans(t *testing.T) {
-	g := gen.ErdosRenyi(1, 3000, 30000, gen.WeightUniform, 7)
+	g := gen.ErdosRenyi(1, 40000, 200000, gen.WeightUniform, 7)
 	rec := obs.NewFlightRecorder(4, 1<<16)
 	if _, err := LLPBoruvka(g, Options{Workers: 4, Observer: rec}); err != nil {
 		t.Fatal(err)

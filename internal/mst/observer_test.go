@@ -15,7 +15,7 @@ func TestObserverCountersMatchWorkMetrics(t *testing.T) {
 	g := gen.ErdosRenyi(1, 1000, 8000, gen.WeightUniform, 21)
 
 	t.Run("llp-boruvka-rounds", func(t *testing.T) {
-		rec := obs.NewRecording()
+		rec := obs.NewFlightRecorder(0, 0)
 		var m WorkMetrics
 		if _, err := LLPBoruvka(g, Options{Workers: 2, Observer: rec, Metrics: &m}); err != nil {
 			t.Fatal(err)
@@ -35,7 +35,7 @@ func TestObserverCountersMatchWorkMetrics(t *testing.T) {
 	})
 
 	t.Run("parallel-boruvka-rounds", func(t *testing.T) {
-		rec := obs.NewRecording()
+		rec := obs.NewFlightRecorder(0, 0)
 		var m WorkMetrics
 		if _, err := ParallelBoruvka(g, Options{Workers: 2, Observer: rec, Metrics: &m}); err != nil {
 			t.Fatal(err)
@@ -46,7 +46,7 @@ func TestObserverCountersMatchWorkMetrics(t *testing.T) {
 	})
 
 	t.Run("llp-prim-heap", func(t *testing.T) {
-		rec := obs.NewRecording()
+		rec := obs.NewFlightRecorder(0, 0)
 		var m WorkMetrics
 		if _, err := LLPPrim(g, Options{Observer: rec, Metrics: &m}); err != nil {
 			t.Fatal(err)
@@ -77,13 +77,13 @@ func TestObserverSpansCoverAlgorithms(t *testing.T) {
 		AlgSemiringBoruvka: "semi-boruvka",
 	}
 	for alg, span := range want {
-		rec := obs.NewRecording()
+		rec := obs.NewFlightRecorder(0, 0)
 		ctx := obs.NewContext(context.Background(), rec)
 		if _, err := RunCtx(ctx, alg, g, Options{Workers: 2}); err != nil {
 			t.Fatalf("%s: %v", alg, err)
 		}
 		found := false
-		for _, s := range rec.Spans() {
+		for _, s := range rec.SpanSummaries() {
 			if s.Name == span {
 				found = true
 				break
@@ -95,9 +95,9 @@ func TestObserverSpansCoverAlgorithms(t *testing.T) {
 	}
 }
 
-func spanNames(rec *obs.Recording) []string {
+func spanNames(rec *obs.FlightRecorder) []string {
 	var names []string
-	for _, s := range rec.Spans() {
+	for _, s := range rec.SpanSummaries() {
 		names = append(names, s.Name)
 	}
 	return names
@@ -108,8 +108,8 @@ func spanNames(rec *obs.Recording) []string {
 // their context.
 func TestObserverPrecedence(t *testing.T) {
 	g := gen.RoadNetwork(1, 8, 8, 0.2, 23)
-	direct := obs.NewRecording()
-	carried := obs.NewRecording()
+	direct := obs.NewFlightRecorder(0, 0)
+	carried := obs.NewFlightRecorder(0, 0)
 	ctx := obs.NewContext(context.Background(), carried)
 	if _, err := RunCtx(ctx, AlgLLPBoruvka, g, Options{Workers: 2, Observer: direct}); err != nil {
 		t.Fatal(err)

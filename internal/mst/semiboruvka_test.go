@@ -81,7 +81,7 @@ func TestSemiringBoruvkaHubRows(t *testing.T) {
 	}
 	g := graph.MustFromEdges(1, n, edges)
 	oracle := Kruskal(g)
-	rec := obs.NewRecording()
+	rec := obs.NewFlightRecorder(0, 0)
 	f := must(SemiringBoruvka(g, Options{Workers: 2, Observer: rec}))
 	if !f.Equal(oracle) {
 		t.Fatalf("hub graph: semi-boruvka differs from Kruskal (weight %g vs %g)", f.Weight, oracle.Weight)
@@ -99,7 +99,7 @@ func TestSemiringBoruvkaHubRows(t *testing.T) {
 // top-level span plus per-phase spans appear in a recording.
 func TestSemiringBoruvkaCounters(t *testing.T) {
 	g := gen.ErdosRenyi(1, 800, 6000, gen.WeightUniform, 92)
-	rec := obs.NewRecording()
+	rec := obs.NewFlightRecorder(0, 0)
 	var m WorkMetrics
 	if _, err := SemiringBoruvka(g, Options{Workers: 2, Observer: rec, Metrics: &m}); err != nil {
 		t.Fatal(err)
@@ -123,7 +123,7 @@ func TestSemiringBoruvkaCounters(t *testing.T) {
 		"semi-boruvka.hook":     false,
 		"semi-boruvka.contract": false,
 	}
-	for _, s := range rec.Spans() {
+	for _, s := range rec.SpanSummaries() {
 		if _, ok := want[s.Name]; ok {
 			want[s.Name] = true
 		}

@@ -10,7 +10,7 @@
 // dynamic dispatch to an empty method — no allocation, no time syscalls, no
 // atomics. The hot paths therefore never branch on "is tracing enabled";
 // they accumulate worker-local counts and flush once per worker, so even a
-// live Recording collector perturbs the measured run only at quiescence
+// live FlightRecorder perturbs the measured run only at quiescence
 // points.
 //
 // Counters and gauges are small enums, not strings, so recording them is an
@@ -24,9 +24,12 @@
 //
 // Set mst.Options.Observer, or attach a Collector to a context with
 // NewContext (surfaced as llpmst.WithObserver) so runs that already receive
-// the context report without extra plumbing. Recording is the in-memory
-// reference implementation: per-span wall-clock timeline, counter totals,
-// gauge maxima, serializable as the JSON timeline behind mstbench
-// -trace-out. The counter totals are cross-checked against mst.WorkMetrics
-// in the test suite, so the two telemetry channels cannot drift apart.
+// the context report without extra plumbing. FlightRecorder is the one
+// in-process implementation: per-worker event rings with round and worker
+// attribution, counter totals, gauge maxima and span histograms, exported
+// as the JSON timeline behind mstbench -trace-out, a Chrome trace, a
+// per-round CSV, or Prometheus text. Every method, spans included, is safe
+// for concurrent use, so concurrent portfolio legs share one recorder. The
+// counter totals are cross-checked against mst.WorkMetrics in the test
+// suite, so the two telemetry channels cannot drift apart.
 package obs

@@ -4,16 +4,18 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"sort"
 	"strings"
 	"time"
 )
 
 // Exporters for the FlightRecorder: Chrome Trace Event JSON (Perfetto /
-// chrome://tracing), Prometheus text exposition, a live progress snapshot
-// (JSON), and a per-round CSV for convergence plots. All four read only the
-// recorder's atomics and ring snapshots, so they are safe to call while a
-// run is in flight; mid-run output is a consistent sample, post-run output
-// is exact (modulo ring overflow, which is reported, never silent).
+// chrome://tracing), the phase-timeline JSON, Prometheus text exposition, a
+// live progress snapshot (JSON), and a per-round CSV for convergence plots.
+// All five read only the recorder's atomics and ring snapshots, so they are
+// safe to call while a run is in flight; mid-run output is a consistent
+// sample, post-run output is exact (modulo ring overflow, which is
+// reported, never silent).
 
 // chromeEvent is one entry of the Trace Event Format's traceEvents array.
 // Only the fields the format requires for each phase kind are emitted.
@@ -63,14 +65,10 @@ func (r *FlightRecorder) WriteChromeTrace(w io.Writer) error {
 	for _, e := range events {
 		switch e.Kind {
 		case EvSpanEnd:
-			start := e.TS - e.Value
-			if start < 0 {
-				start = 0
-			}
 			out = append(out, chromeEvent{
 				Name: r.SpanName(e.ID),
 				Ph:   "X",
-				TS:   float64(start) / 1e3,
+				TS:   float64(spanStart(e)) / 1e3,
 				Dur:  float64(e.Value) / 1e3,
 				PID:  1,
 				TID:  chromeTID(e.Worker),
@@ -101,11 +99,91 @@ func (r *FlightRecorder) WriteChromeTrace(w io.Writer) error {
 	return enc.Encode(map[string]any{"traceEvents": out})
 }
 
+// spanStart returns the start time of the span an EvSpanEnd event closes.
+func spanStart(e Event) int64 { return max(e.TS-e.Value, 0) }
+
+// timelineJSON is the serialized form of WriteTimeline.
+type timelineJSON struct {
+	Spans    []spanJSON       `json:"spans"`
+	Counters map[string]int64 `json:"counters"`
+	Gauges   map[string]int64 `json:"gauges_max"`
+	Dropped  uint64           `json:"dropped_events"`
+}
+
+type spanJSON struct {
+	Name    string  `json:"name"`
+	StartUS float64 `json:"start_us"`
+	DurUS   float64 `json:"dur_us"`
+}
+
+// WriteTimeline writes the phase timeline plus counter/gauge summaries as
+// indented JSON: one entry per span whose end event survives in the rings
+// (the same spans WriteChromeTrace emits), sorted by start offset with
+// microsecond start/duration; counter totals and gauge maxima keyed by
+// their String names (zero entries omitted); and dropped_events, the
+// Dropped total, so a truncated timeline says so. This is the payload
+// behind mstbench's -trace-out flag.
+func (r *FlightRecorder) WriteTimeline(w io.Writer) error {
+	out := timelineJSON{
+		Spans:    []spanJSON{},
+		Counters: map[string]int64{},
+		Gauges:   map[string]int64{},
+		Dropped:  r.Dropped(),
+	}
+	for _, e := range r.Events() {
+		if e.Kind == EvSpanEnd {
+			out.Spans = append(out.Spans, spanJSON{
+				Name:    r.SpanName(e.ID),
+				StartUS: float64(spanStart(e)) / 1e3,
+				DurUS:   float64(e.Value) / 1e3,
+			})
+		}
+	}
+	sort.SliceStable(out.Spans, func(i, j int) bool { return out.Spans[i].StartUS < out.Spans[j].StartUS })
+	for c := Counter(0); c < NumCounters; c++ {
+		if v := r.Counter(c); v != 0 {
+			out.Counters[c.String()] = v
+		}
+	}
+	for g := Gauge(0); g < NumGauges; g++ {
+		if v := r.GaugeMax(g); v != 0 {
+			out.Gauges[g.String()] = v
+		}
+	}
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(out)
+}
+
 // promEscape escapes a Prometheus label value.
 func promEscape(s string) string {
 	s = strings.ReplaceAll(s, `\`, `\\`)
 	s = strings.ReplaceAll(s, `"`, `\"`)
 	return strings.ReplaceAll(s, "\n", `\n`)
+}
+
+// writeProm appends h to b as one series of the Prometheus histogram family
+// fam, labeled label="value": the cumulative log-2 buckets that hold
+// observations, then +Inf, _sum and _count. An empty histogram writes
+// nothing. Label values are escaped here, once.
+func (h *spanHist) writeProm(b *strings.Builder, fam, label, value string) {
+	count := h.count.Load()
+	if count == 0 {
+		return
+	}
+	lv := label + `="` + promEscape(value) + `"`
+	var cum int64
+	for bkt := 0; bkt < histBuckets; bkt++ {
+		n := h.buckets[bkt].Load()
+		if n == 0 {
+			continue
+		}
+		cum += n
+		fmt.Fprintf(b, "%s_bucket{%s,le=\"%g\"} %d\n", fam, lv, float64(int64(1)<<uint(bkt))/1e9, cum)
+	}
+	fmt.Fprintf(b, "%s_bucket{%s,le=\"+Inf\"} %d\n", fam, lv, count)
+	fmt.Fprintf(b, "%s_sum{%s} %g\n", fam, lv, float64(h.sumNS.Load())/1e9)
+	fmt.Fprintf(b, "%s_count{%s} %d\n", fam, lv, count)
 }
 
 // promWorker renders a worker id as a label value ("driver" for -1).
@@ -132,7 +210,7 @@ func (r *FlightRecorder) WritePrometheus(w io.Writer) error {
 			if v == 0 {
 				continue
 			}
-			fmt.Fprintf(&b, "llpmst_events_total{counter=%q,worker=%q} %d\n",
+			fmt.Fprintf(&b, "llpmst_events_total{counter=\"%s\",worker=\"%s\"} %d\n",
 				promEscape(c.String()), promWorker(i), v)
 		}
 	}
@@ -144,7 +222,7 @@ func (r *FlightRecorder) WritePrometheus(w io.Writer) error {
 			if r.shards[i].gaugeTS[g].Load() == 0 {
 				continue
 			}
-			fmt.Fprintf(&b, "llpmst_gauge_last{gauge=%q,worker=%q} %d\n",
+			fmt.Fprintf(&b, "llpmst_gauge_last{gauge=\"%s\",worker=\"%s\"} %d\n",
 				promEscape(g.String()), promWorker(i), r.shards[i].gaugeLast[g].Load())
 		}
 	}
@@ -156,42 +234,21 @@ func (r *FlightRecorder) WritePrometheus(w io.Writer) error {
 			if r.shards[i].gaugeTS[g].Load() == 0 {
 				continue
 			}
-			fmt.Fprintf(&b, "llpmst_gauge_max{gauge=%q,worker=%q} %d\n",
+			fmt.Fprintf(&b, "llpmst_gauge_max{gauge=\"%s\",worker=\"%s\"} %d\n",
 				promEscape(g.String()), promWorker(i), r.shards[i].gaugeMax[g].Load())
 		}
 	}
 
 	b.WriteString("# HELP llpmst_span_duration_seconds Span latency histogram (log-2 nanosecond buckets).\n")
 	b.WriteString("# TYPE llpmst_span_duration_seconds histogram\n")
-	names := r.names.snapshot()
-	for id, name := range names {
-		h := &r.hists[id]
-		count := h.count.Load()
-		if count == 0 {
-			continue
-		}
-		label := promEscape(name)
-		var cum int64
-		for bkt := 0; bkt < histBuckets; bkt++ {
-			n := h.buckets[bkt].Load()
-			if n == 0 {
-				continue
-			}
-			cum += n
-			upper := float64(int64(1)<<uint(bkt)) / 1e9
-			fmt.Fprintf(&b, "llpmst_span_duration_seconds_bucket{span=%q,le=%q} %d\n",
-				label, fmt.Sprintf("%g", upper), cum)
-		}
-		fmt.Fprintf(&b, "llpmst_span_duration_seconds_bucket{span=%q,le=\"+Inf\"} %d\n", label, count)
-		fmt.Fprintf(&b, "llpmst_span_duration_seconds_sum{span=%q} %g\n",
-			label, float64(h.sumNS.Load())/1e9)
-		fmt.Fprintf(&b, "llpmst_span_duration_seconds_count{span=%q} %d\n", label, count)
+	for id, name := range r.names.snapshot() {
+		r.hist(uint8(id)).writeProm(&b, "llpmst_span_duration_seconds", "span", name)
 	}
 
 	b.WriteString("# HELP llpmst_events_recorded_total Events written into the flight-recorder rings.\n")
 	b.WriteString("# TYPE llpmst_events_recorded_total counter\n")
 	fmt.Fprintf(&b, "llpmst_events_recorded_total %d\n", r.Recorded())
-	b.WriteString("# HELP llpmst_events_dropped_total Events overwritten by ring wrap-around.\n")
+	b.WriteString("# HELP llpmst_events_dropped_total Events overwritten by ring wrap-around plus spans refused for want of a free span slot.\n")
 	b.WriteString("# TYPE llpmst_events_dropped_total counter\n")
 	fmt.Fprintf(&b, "llpmst_events_dropped_total %d\n", r.Dropped())
 

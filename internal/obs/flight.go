@@ -11,21 +11,23 @@ import (
 
 // The flight recorder.
 //
-// Recording (recording.go) answers "what were the totals": counter sums,
-// gauge maxima, a flat span timeline. The paper's empirical claims, though,
-// are about convergence *dynamics* — how fast LLP-Prim's early-fixing bag
-// drains, how many pointer-jumping sweeps each LLP-Boruvka contraction
-// round needs — and reproducing those curves requires the individual
-// samples, attributed to the worker and the round that produced them. The
-// FlightRecorder captures exactly that: per-worker sharded, fixed-capacity
-// ring buffers of typed events, written with one uncontended atomic claim
-// and zero allocations, plus always-current atomic aggregates (counter
-// totals, last/max gauge values, log-bucket span-duration histograms) that
-// live HTTP endpoints can read while a run is in flight.
+// The paper's empirical claims are about convergence *dynamics* — how fast
+// LLP-Prim's early-fixing bag drains, how many pointer-jumping sweeps each
+// LLP-Boruvka contraction round needs — and reproducing those curves
+// requires the individual samples, attributed to the worker and the round
+// that produced them. The FlightRecorder captures exactly that: per-worker
+// sharded, fixed-capacity ring buffers of typed events, written with one
+// uncontended atomic claim and zero allocations, plus always-current atomic
+// aggregates (counter totals, last/max gauge values, log-bucket
+// span-duration histograms) that live HTTP endpoints can read while a run
+// is in flight. The same recorder answers "what were the totals" (Counter,
+// GaugeMax, SpanSummaries, WriteTimeline).
 //
 // Overflow policy: each shard's ring holds the most recent EventCap events;
 // older ones are overwritten (Dropped reports how many). Aggregates are
 // exact regardless of overflow — only the event-by-event replay is bounded.
+// The one exception is a span opened while all of its cursor's span slots
+// are held: it is refused outright and counted in Dropped.
 
 // EventKind discriminates the typed events in a shard's ring.
 type EventKind uint8
@@ -93,13 +95,14 @@ type shard struct {
 	gaugeLast [NumGauges]atomic.Int64
 	gaugeMax  [NumGauges]atomic.Int64
 	gaugeTS   [NumGauges]atomic.Int64 // TS of the last sample (0 = never)
+	hists     [maxSpanNames]spanHist  // span durations, by interned name
 
 	_ [64]byte // isolate this shard's aggregates from the next shard's head
 }
 
-// spanHist is a log-bucket duration histogram, shared across workers for
-// one span name (span ends are per-phase, not per-item, so the shared
-// atomics see no meaningful contention).
+// spanHist is a log-bucket duration histogram. The flight recorder keeps
+// one per span name in every shard, so workers closing spans never write
+// each other's cache lines; readers sum the shards.
 type spanHist struct {
 	count   atomic.Int64
 	sumNS   atomic.Int64
@@ -117,6 +120,15 @@ func (h *spanHist) observe(ns int64) {
 	h.buckets[b].Add(1)
 	h.sumNS.Add(ns)
 	h.count.Add(1)
+}
+
+// add folds o's current counts into h.
+func (h *spanHist) add(o *spanHist) {
+	h.count.Add(o.count.Load())
+	h.sumNS.Add(o.sumNS.Load())
+	for b := range h.buckets {
+		h.buckets[b].Add(o.buckets[b].Load())
+	}
 }
 
 // quantile returns the upper bound (2^bucket nanoseconds) of the bucket
@@ -143,34 +155,46 @@ func (h *spanHist) quantile(q float64) time.Duration {
 	return time.Duration(int64(1) << (histBuckets - 1))
 }
 
-// nameTable interns span names to small ids. Lookups of known names take a
-// read lock and allocate nothing; the first sighting of a new name takes
-// the write lock once. Names beyond maxSpanNames-1 share the overflow id.
+// nameTable interns span names to small ids. The id map is copy-on-write:
+// lookups of known names are one atomic load and a map read, with no
+// shared-memory writes; the first sighting of a new name takes the mutex
+// once and publishes a new map. Names beyond maxSpanNames-1 share the
+// overflow id.
 type nameTable struct {
-	mu    sync.RWMutex
-	ids   map[string]uint8
-	names []string
+	mu    sync.Mutex // serializes inserts
+	ids   atomic.Pointer[map[string]uint8]
+	n     atomic.Int32 // names[:n] are interned and never change
+	names [maxSpanNames - 1]string
 }
 
 func (t *nameTable) id(name string) uint8 {
-	t.mu.RLock()
-	id, ok := t.ids[name]
-	t.mu.RUnlock()
-	if ok {
-		return id
+	if m := t.ids.Load(); m != nil {
+		if id, ok := (*m)[name]; ok {
+			return id
+		}
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if id, ok := t.ids[name]; ok {
+	var old map[string]uint8
+	if m := t.ids.Load(); m != nil {
+		old = *m
+	}
+	if id, ok := old[name]; ok {
 		return id
 	}
-	if len(t.names) >= maxSpanNames-1 {
+	n := int(t.n.Load())
+	if n >= len(t.names) {
 		return maxSpanNames - 1 // shared overflow bucket
 	}
-	id = uint8(len(t.names))
-	t.ids[name] = id
-	t.names = append(t.names, name)
-	return id
+	next := make(map[string]uint8, n+1)
+	for k, v := range old {
+		next[k] = v
+	}
+	t.names[n] = name
+	next[name] = uint8(n)
+	t.n.Store(int32(n + 1))
+	t.ids.Store(&next)
+	return uint8(n)
 }
 
 // name returns the interned name for id ("~overflow" for the shared
@@ -179,78 +203,108 @@ func (t *nameTable) name(id uint8) string {
 	if id == maxSpanNames-1 {
 		return "~overflow"
 	}
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if int(id) < len(t.names) {
+	if int32(id) < t.n.Load() {
 		return t.names[id]
 	}
 	return "~unknown"
 }
 
-func (t *nameTable) snapshot() []string {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	out := make([]string, len(t.names))
-	copy(out, t.names)
-	return out
+// snapshot returns the interned names, indexed by id. The slice aliases the
+// table, whose published entries never change.
+func (t *nameTable) snapshot() []string { return t.names[:t.n.Load()] }
+
+// spanSlots is how many spans one cursor can hold open at once. A Span call
+// that finds every slot busy is dropped: it returns a no-op closer and is
+// counted in Dropped.
+const spanSlots = 64
+
+// spanSlot is one open span: its start time, its interned name, and the
+// closer that ends it. The closer is built on the slot's first claim and
+// reused by every later span in the slot.
+type spanSlot struct {
+	start int64
+	id    uint8
+	end   func()
 }
 
 // Cursor is one worker's attributed view of a FlightRecorder: a Collector
-// whose events carry that worker's id. Count, Gauge, and Round are safe for
-// concurrent use from any number of goroutines (slots are claimed with an
-// atomic add); Span open/close tracking is per-cursor state, so spans on
-// one cursor must come from one goroutine at a time — exactly the runtime's
-// usage, where each scheduler worker holds its own cursor.
+// whose events carry that worker's id. Every method is safe for concurrent
+// use from any number of goroutines: ring slots are claimed with an atomic
+// add, and each open span holds one of the cursor's spanSlots span slots,
+// claimed and released through an atomic bitmap.
 type Cursor struct {
 	rec *FlightRecorder
 	s   *shard
 
-	// Span bookkeeping: open start times and cached end closures, one per
-	// interned span name. Closures are built on first use, so steady-state
-	// Span calls return a cached func and allocate nothing.
-	open [maxSpanNames]int64
-	ends [maxSpanNames]func()
+	// free has bit i set while slots[i] holds no open span.
+	free  atomic.Uint64
+	slots [spanSlots]spanSlot
 }
 
 // Span implements Tracer: it records an EvSpanBegin now and an EvSpanEnd
 // (carrying the duration, which also feeds the span's log-bucket histogram)
-// when the returned closer runs.
+// when the returned closer runs. The span holds the lowest free slot until
+// then, so the closer must run exactly once. Once every slot has been used,
+// Span allocates nothing.
 func (c *Cursor) Span(name string) func() {
 	id := c.rec.names.id(name)
-	c.open[id] = c.rec.now()
-	c.rec.record(c.s, EvSpanBegin, id, 0)
-	end := c.ends[id]
-	if end == nil {
-		end = func() {
-			dur := c.rec.now() - c.open[id]
-			c.rec.hists[id].observe(dur)
-			c.rec.record(c.s, EvSpanEnd, id, dur)
+	for {
+		free := c.free.Load()
+		if free == 0 {
+			c.rec.spansDropped.Add(1)
+			return nopEnd
 		}
-		c.ends[id] = end
+		i := bits.TrailingZeros64(free)
+		if !c.free.CompareAndSwap(free, free&^(1<<i)) {
+			continue
+		}
+		sl := &c.slots[i]
+		if sl.end == nil {
+			sl.end = c.closer(sl, 1<<i)
+		}
+		sl.id = id
+		sl.start = c.rec.now()
+		c.rec.record(c.s, sl.start, EvSpanBegin, id, 0)
+		return sl.end
 	}
-	return end
+}
+
+// closer builds the end closure of slot sl, whose bit in c.free is bit.
+func (c *Cursor) closer(sl *spanSlot, bit uint64) func() {
+	return func() {
+		id, now := sl.id, c.rec.now()
+		dur := now - sl.start
+		c.s.hists[id].observe(dur)
+		c.rec.record(c.s, now, EvSpanEnd, id, dur)
+		for {
+			free := c.free.Load()
+			if c.free.CompareAndSwap(free, free|bit) {
+				return
+			}
+		}
+	}
 }
 
 // Count implements Collector: the delta lands in the shard's running total
 // and in the ring as an EvCount event.
 func (c *Cursor) Count(ctr Counter, delta int64) {
 	c.s.counters[ctr].Add(delta)
-	c.rec.record(c.s, EvCount, uint8(ctr), delta)
+	c.rec.record(c.s, c.rec.now(), EvCount, uint8(ctr), delta)
 }
 
 // Gauge implements Collector, retaining both the last and the maximum
 // sample and appending an EvGauge event.
 func (c *Cursor) Gauge(g Gauge, v int64) {
-	s := c.s
+	s, now := c.s, c.rec.now()
 	s.gaugeLast[g].Store(v)
-	s.gaugeTS[g].Store(c.rec.now() + 1) // +1 so TS 0 still reads as "seen"
+	s.gaugeTS[g].Store(now + 1) // +1 so TS 0 still reads as "seen"
 	for {
 		cur := s.gaugeMax[g].Load()
 		if v <= cur || s.gaugeMax[g].CompareAndSwap(cur, v) {
 			break
 		}
 	}
-	c.rec.record(s, EvGauge, uint8(g), v)
+	c.rec.record(s, now, EvGauge, uint8(g), v)
 }
 
 // Round implements RoundMarker: it advances the recorder's current round
@@ -258,7 +312,7 @@ func (c *Cursor) Gauge(g Gauge, v int64) {
 // marker on this cursor's track.
 func (c *Cursor) Round(r int64) {
 	c.rec.round.Store(r)
-	c.rec.record(c.s, EvRound, 0, r)
+	c.rec.record(c.s, c.rec.now(), EvRound, 0, r)
 }
 
 // FlightRecorder is the sharded, ring-buffered Collector. Construct with
@@ -273,7 +327,8 @@ type FlightRecorder struct {
 	shards  []shard  // shards[0] = driver, shards[1..] = workers
 	cursors []Cursor // parallel to shards
 	names   nameTable
-	hists   [maxSpanNames]spanHist
+
+	spansDropped atomic.Uint64 // spans refused because every slot was busy
 }
 
 // NewFlightRecorder returns a recorder with one driver shard plus workers
@@ -294,7 +349,6 @@ func NewFlightRecorder(workers, eventCap int) *FlightRecorder {
 	r := &FlightRecorder{
 		origin: time.Now(),
 		shards: make([]shard, workers+1),
-		names:  nameTable{ids: make(map[string]uint8, maxSpanNames)},
 	}
 	r.cursors = make([]Cursor, workers+1)
 	for i := range r.shards {
@@ -302,7 +356,9 @@ func NewFlightRecorder(workers, eventCap int) *FlightRecorder {
 		s.buf = make([]Event, capPow)
 		s.mask = uint64(capPow - 1)
 		s.worker = int16(i - 1) // shard 0 is the driver, worker -1
-		r.cursors[i] = Cursor{rec: r, s: s}
+		c := &r.cursors[i]
+		c.rec, c.s = r, s
+		c.free.Store(^uint64(0))
 	}
 	return r
 }
@@ -311,12 +367,14 @@ func NewFlightRecorder(workers, eventCap int) *FlightRecorder {
 func (r *FlightRecorder) now() int64 { return int64(time.Since(r.origin)) }
 
 // record claims the next ring slot with one uncontended atomic add and
-// fills it in place — no allocation, no lock, no shared cache line with
-// other shards.
-func (r *FlightRecorder) record(s *shard, k EventKind, id uint8, v int64) {
+// fills it in place, stamped ts — no allocation, no lock, no shared cache
+// line with other shards. Callers pass the time so an event shares one
+// clock read with the aggregate it updates: a span's end event minus its
+// duration is exactly its begin event's time.
+func (r *FlightRecorder) record(s *shard, ts int64, k EventKind, id uint8, v int64) {
 	seq := s.head.Add(1) - 1
 	s.buf[seq&s.mask] = Event{
-		TS:     r.now(),
+		TS:     ts,
 		Value:  v,
 		Seq:    seq,
 		Round:  int32(r.round.Load()),
@@ -339,9 +397,8 @@ func (r *FlightRecorder) Worker(w int) Collector {
 // driver is the cursor behind the recorder's own Collector facade.
 func (r *FlightRecorder) driver() *Cursor { return &r.cursors[0] }
 
-// Span implements Tracer on the driver track. See Cursor.Span for the
-// concurrency contract; unattributed concurrent span pairs should use
-// per-worker cursors (ForWorker) instead.
+// Span implements Tracer on the driver track (safe for concurrent use; see
+// Cursor.Span).
 func (r *FlightRecorder) Span(name string) func() { return r.driver().Span(name) }
 
 // Count implements Collector on the driver track (safe for concurrent use).
@@ -402,8 +459,7 @@ func (r *FlightRecorder) GaugeLast(g Gauge) (int64, bool) {
 	return v, seen
 }
 
-// Recorded returns the total number of events ever recorded, and Dropped
-// how many of them have been overwritten by ring wrap-around.
+// Recorded returns the total number of events ever recorded.
 func (r *FlightRecorder) Recorded() uint64 {
 	var t uint64
 	for i := range r.shards {
@@ -412,9 +468,11 @@ func (r *FlightRecorder) Recorded() uint64 {
 	return t
 }
 
-// Dropped returns the number of recorded events no longer in the rings.
+// Dropped returns the number of recorded events no longer in the rings
+// (overwritten by wrap-around) plus the spans refused because all of a
+// cursor's span slots were open.
 func (r *FlightRecorder) Dropped() uint64 {
-	var t uint64
+	t := r.spansDropped.Load()
 	for i := range r.shards {
 		s := &r.shards[i]
 		if h := s.head.Load(); h > uint64(len(s.buf)) {
@@ -476,11 +534,7 @@ type SpanSummary struct {
 func (r *FlightRecorder) SpanSummary(name string) (SpanSummary, bool) {
 	for id, n := range r.names.snapshot() {
 		if n == name {
-			h := &r.hists[id]
-			if h.count.Load() == 0 {
-				return SpanSummary{Name: name}, false
-			}
-			return r.summarize(uint8(id), name), true
+			return r.summarize(uint8(id), name)
 		}
 	}
 	return SpanSummary{Name: name}, false
@@ -489,22 +543,23 @@ func (r *FlightRecorder) SpanSummary(name string) (SpanSummary, bool) {
 // SpanSummaries returns digests for every span name that closed at least
 // once, sorted by name.
 func (r *FlightRecorder) SpanSummaries() []SpanSummary {
-	names := r.names.snapshot()
 	var out []SpanSummary
-	for id, n := range names {
-		if r.hists[id].count.Load() > 0 {
-			out = append(out, r.summarize(uint8(id), n))
+	add := func(id uint8, name string) {
+		if s, ok := r.summarize(id, name); ok {
+			out = append(out, s)
 		}
 	}
-	if r.hists[maxSpanNames-1].count.Load() > 0 {
-		out = append(out, r.summarize(maxSpanNames-1, "~overflow"))
+	for id, n := range r.names.snapshot() {
+		add(uint8(id), n)
 	}
+	add(maxSpanNames-1, "~overflow")
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 
-func (r *FlightRecorder) summarize(id uint8, name string) SpanSummary {
-	h := &r.hists[id]
+// summarize digests span id's histogram; ok reports whether it closed.
+func (r *FlightRecorder) summarize(id uint8, name string) (s SpanSummary, ok bool) {
+	h := r.hist(id)
 	return SpanSummary{
 		Name:  name,
 		Count: h.count.Load(),
@@ -512,7 +567,16 @@ func (r *FlightRecorder) summarize(id uint8, name string) SpanSummary {
 		P50:   h.quantile(0.50),
 		P95:   h.quantile(0.95),
 		P99:   h.quantile(0.99),
+	}, h.count.Load() > 0
+}
+
+// hist returns span id's duration histogram summed over every shard.
+func (r *FlightRecorder) hist(id uint8) *spanHist {
+	h := new(spanHist)
+	for i := range r.shards {
+		h.add(&r.shards[i].hists[id])
 	}
+	return h
 }
 
 // RoundStats aggregates one round segment of the event stream: the counter

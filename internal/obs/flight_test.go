@@ -412,8 +412,7 @@ func TestFlightRecorderConcurrentStress(t *testing.T) {
 			}
 		}(w)
 	}
-	// The driver facade is hit concurrently too (Count/Gauge are the
-	// concurrent-safe subset; spans stay per-cursor).
+	// The driver facade is hit concurrently too.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -460,55 +459,140 @@ func TestFlightRecorderConcurrentStress(t *testing.T) {
 	}
 }
 
-// The Recording compatibility facade gets the same concurrent hammering
-// (same satellite): totals exact, span list complete.
-func TestRecordingConcurrentStress(t *testing.T) {
-	rec := NewRecording()
-	const workers, perW = 8, 1000
+// Spans are safe for concurrent use on one cursor: goroutines sharing the
+// driver cursor and goroutines sharing one worker cursor open and close
+// spans with the same name, in nested pairs. Every span must be counted
+// exactly once, every recorded duration must be non-negative, and Span must
+// stay allocation-free.
+func TestFlightRecorderConcurrentSpans(t *testing.T) {
+	const goroutines, perG = 8, 500
+	rec := NewFlightRecorder(2, 1<<15)
+	worker := rec.Worker(1)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for g := 0; g < goroutines; g++ {
+		col := Collector(rec) // the driver cursor
+		if g%2 == 1 {
+			col = worker
+		}
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			for i := 0; i < perW; i++ {
-				end := rec.Span("stress")
-				rec.Count(CtrEarlyFix, 1)
-				rec.Gauge(GaugeFrontier, int64(w*perW+i))
-				end()
+			for i := 0; i < perG; i++ {
+				outer := col.Span("shared")
+				inner := col.Span("shared")
+				inner()
+				outer()
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
-	if got := rec.Counter(CtrEarlyFix); got != workers*perW {
-		t.Fatalf("earlyfix = %d, want %d", got, workers*perW)
+
+	sum, ok := rec.SpanSummary("shared")
+	if want := int64(2 * goroutines * perG); !ok || sum.Count != want {
+		t.Fatalf("shared span count = %d, want %d", sum.Count, want)
 	}
-	if got := rec.GaugeMax(GaugeFrontier); got != workers*perW-1 {
-		t.Fatalf("frontier max = %d, want %d", got, workers*perW-1)
+	if rec.Dropped() != 0 {
+		t.Fatalf("dropped %d events despite capacity", rec.Dropped())
 	}
-	if got := len(rec.Spans()); got != workers*perW {
-		t.Fatalf("spans = %d, want %d", got, workers*perW)
+	ends := map[int16]int{}
+	for _, e := range rec.Events() {
+		if e.Kind == EvSpanEnd {
+			if e.Value < 0 {
+				t.Fatalf("span on worker %d has negative duration %d", e.Worker, e.Value)
+			}
+			ends[e.Worker]++
+		}
+	}
+	if want := goroutines * perG; ends[-1] != want || ends[1] != want {
+		t.Fatalf("span ends per track = %v, want %d on the driver and on worker 1", ends, want)
+	}
+
+	allocs := testing.AllocsPerRun(1000, func() {
+		rec.Span("shared")()
+		worker.Span("shared")()
+	})
+	if allocs != 0 {
+		t.Fatalf("Span allocates %v per call", allocs)
 	}
 }
 
+// A cursor holds at most spanSlots open spans; one more is refused with a
+// no-op closer and counted in Dropped, and closing a span frees its slot.
+func TestFlightRecorderSpanSlotExhaustion(t *testing.T) {
+	rec := NewFlightRecorder(1, 1024)
+	ends := make([]func(), spanSlots)
+	for i := range ends {
+		ends[i] = rec.Span("held")
+	}
+	rec.Span("refused")()
+	if got := rec.Dropped(); got != 1 {
+		t.Fatalf("dropped = %d after a refused span, want 1", got)
+	}
+	if _, ok := rec.SpanSummary("refused"); ok {
+		t.Fatal("a refused span reached the histogram")
+	}
+	ends[0]()
+	rec.Span("after")()
+	for _, end := range ends[1:] {
+		end()
+	}
+	if s, _ := rec.SpanSummary("held"); s.Count != spanSlots {
+		t.Fatalf("held spans closed = %d, want %d", s.Count, spanSlots)
+	}
+	if s, _ := rec.SpanSummary("after"); s.Count != 1 {
+		t.Fatal("a freed slot was not reused")
+	}
+}
+
+// totals is a plain Collector: it keeps counter totals, gauge maxima and a
+// count of closed spans, and supports neither round marks nor worker
+// attribution.
+type totals struct {
+	mu       sync.Mutex
+	counters [NumCounters]int64
+	gauges   [NumGauges]int64
+	spans    int
+}
+
+func (c *totals) Span(string) func() {
+	return func() {
+		c.mu.Lock()
+		c.spans++
+		c.mu.Unlock()
+	}
+}
+
+func (c *totals) Count(ctr Counter, d int64) {
+	c.mu.Lock()
+	c.counters[ctr] += d
+	c.mu.Unlock()
+}
+
+func (c *totals) Gauge(g Gauge, v int64) {
+	c.mu.Lock()
+	c.gauges[g] = max(c.gauges[g], v)
+	c.mu.Unlock()
+}
+
 func TestTee(t *testing.T) {
-	a, b := NewFlightRecorder(1, 256), NewRecording()
+	a, b := NewFlightRecorder(1, 256), &totals{}
 	col := Tee(a, b)
 	col.Count(CtrRounds, 2)
 	col.Gauge(GaugeLiveEdges, 9)
 	col.Span("both")()
 	MarkRound(col, 1)
 
-	if a.Counter(CtrRounds) != 2 || b.Counter(CtrRounds) != 2 {
-		t.Fatalf("tee counts: %d, %d", a.Counter(CtrRounds), b.Counter(CtrRounds))
+	if a.Counter(CtrRounds) != 2 || b.counters[CtrRounds] != 2 {
+		t.Fatalf("tee counts: %d, %d", a.Counter(CtrRounds), b.counters[CtrRounds])
 	}
-	if a.GaugeMax(GaugeLiveEdges) != 9 || b.GaugeMax(GaugeLiveEdges) != 9 {
+	if a.GaugeMax(GaugeLiveEdges) != 9 || b.gauges[GaugeLiveEdges] != 9 {
 		t.Fatal("tee gauges diverge")
 	}
 	if _, ok := a.SpanSummary("both"); !ok {
 		t.Fatal("tee span missing on flight side")
 	}
-	if len(b.Spans()) != 1 {
-		t.Fatal("tee span missing on recording side")
+	if b.spans != 1 {
+		t.Fatal("tee span missing on plain side")
 	}
 	if a.CurrentRound() != 1 {
 		t.Fatal("tee did not forward round mark")
@@ -518,7 +602,7 @@ func TestTee(t *testing.T) {
 	if a.CounterWorker(CtrSchedPop, 0) != 3 {
 		t.Fatal("tee did not forward worker attribution")
 	}
-	if b.Counter(CtrSchedPop) != 3 {
+	if b.counters[CtrSchedPop] != 3 {
 		t.Fatal("tee dropped unattributed side")
 	}
 
@@ -537,9 +621,9 @@ func TestTee(t *testing.T) {
 // MarkRound/ForWorker against a collector that supports neither must be
 // free and safe.
 func TestMarkRoundForWorkerOnPlainCollector(t *testing.T) {
-	rec := NewRecording()
-	MarkRound(rec, 7) // no-op: Recording keeps totals only
-	if got := ForWorker(rec, 3); got != Collector(rec) {
+	plain := &totals{}
+	MarkRound(plain, 7) // no-op: totals ignores round structure
+	if got := ForWorker(plain, 3); got != Collector(plain) {
 		t.Fatal("ForWorker on plain collector did not pass through")
 	}
 	var nop Collector = Nop{}

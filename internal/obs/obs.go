@@ -224,8 +224,9 @@ func (c Counter) String() string {
 }
 
 // Gauge identifies an instantaneous level. Collectors are free to keep the
-// last value, the maximum, or a full series; Recording keeps the maximum,
-// the useful summary for capacity questions ("how deep did queues get").
+// last value, the maximum, or a full series; FlightRecorder keeps all three
+// (GaugeMax is the useful summary for capacity questions: "how deep did
+// queues get").
 type Gauge uint8
 
 // The defined gauges.
@@ -359,8 +360,8 @@ type tee struct {
 
 // Tee returns a Collector that forwards to both a and b. Nil or Nop sides
 // collapse, so Tee(col, Nop{}) == col. The combined Span allocates one
-// closure per call; use Tee for driver-level plumbing (mstbench combining a
-// Recording with a FlightRecorder), not on per-item hot paths.
+// closure per call; use Tee for driver-level plumbing (a configured
+// Observer combined with a per-request one), not on per-item hot paths.
 func Tee(a, b Collector) Collector {
 	if a == nil || a == (Nop{}) {
 		return Or(b)

@@ -30,14 +30,16 @@ func TestOr(t *testing.T) {
 	if _, ok := Or(nil).(Nop); !ok {
 		t.Fatal("Or(nil) is not Nop")
 	}
-	rec := NewRecording()
+	rec := NewFlightRecorder(1, 64)
 	if Or(rec) != rec {
 		t.Fatal("Or(non-nil) did not pass through")
 	}
 }
 
-func TestRecordingCountersAndGauges(t *testing.T) {
-	rec := NewRecording()
+// The driver facade is one shared cursor: concurrent counts must all land
+// and the gauge maximum must be the largest sample from any goroutine.
+func TestFlightRecorderCountersAndGauges(t *testing.T) {
+	rec := NewFlightRecorder(1, 1<<12) // no wrap: concurrent writers never share a ring slot
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -61,8 +63,8 @@ func TestRecordingCountersAndGauges(t *testing.T) {
 	}
 }
 
-func TestRecordingSpansAndTimeline(t *testing.T) {
-	rec := NewRecording()
+func TestFlightRecorderTimeline(t *testing.T) {
+	rec := NewFlightRecorder(1, 64)
 	end := rec.Span("outer")
 	inner := rec.Span("inner")
 	time.Sleep(time.Millisecond)
@@ -70,18 +72,6 @@ func TestRecordingSpansAndTimeline(t *testing.T) {
 	end()
 	rec.Count(CtrRounds, 4)
 	rec.Gauge(GaugeLiveEdges, 123)
-
-	spans := rec.Spans()
-	if len(spans) != 2 {
-		t.Fatalf("got %d spans, want 2", len(spans))
-	}
-	// Completion order: inner closes first.
-	if spans[0].Name != "inner" || spans[1].Name != "outer" {
-		t.Fatalf("span order: %v", spans)
-	}
-	if spans[0].Dur <= 0 {
-		t.Fatalf("inner span duration %v, want > 0", spans[0].Dur)
-	}
 
 	var buf bytes.Buffer
 	if err := rec.WriteTimeline(&buf); err != nil {
@@ -95,19 +85,44 @@ func TestRecordingSpansAndTimeline(t *testing.T) {
 		} `json:"spans"`
 		Counters map[string]int64 `json:"counters"`
 		Gauges   map[string]int64 `json:"gauges_max"`
+		Dropped  *uint64          `json:"dropped_events"`
 	}
 	if err := json.Unmarshal(buf.Bytes(), &decoded); err != nil {
 		t.Fatalf("timeline is not valid JSON: %v\n%s", err, buf.String())
 	}
-	// Timeline order: sorted by start offset, so outer comes first.
-	if len(decoded.Spans) != 2 || decoded.Spans[0].Name != "outer" {
+	// Timeline order: sorted by start offset, so outer comes first even
+	// though inner closed first.
+	if len(decoded.Spans) != 2 || decoded.Spans[0].Name != "outer" || decoded.Spans[1].Name != "inner" {
 		t.Fatalf("timeline spans: %+v", decoded.Spans)
+	}
+	if in := decoded.Spans[1]; in.DurUS < 1000 || in.StartUS < decoded.Spans[0].StartUS {
+		t.Fatalf("inner span %+v not inside outer %+v", in, decoded.Spans[0])
 	}
 	if decoded.Counters["rounds"] != 4 {
 		t.Fatalf("timeline counters: %+v", decoded.Counters)
 	}
 	if decoded.Gauges["live_edges"] != 123 {
 		t.Fatalf("timeline gauges: %+v", decoded.Gauges)
+	}
+	if decoded.Dropped == nil || *decoded.Dropped != 0 {
+		t.Fatalf("timeline dropped_events = %v, want 0", decoded.Dropped)
+	}
+
+	// A wrapped ring keeps only the newest spans and says how many events
+	// it lost.
+	small := NewFlightRecorder(1, 4)
+	for i := 0; i < 5; i++ {
+		small.Span("wrap")()
+	}
+	buf.Reset()
+	if err := small.WriteTimeline(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(buf.Bytes(), &decoded); err != nil {
+		t.Fatal(err)
+	}
+	if len(decoded.Spans) != 2 || *decoded.Dropped != 6 {
+		t.Fatalf("wrapped timeline: %d spans, %d dropped; want 2 and 6", len(decoded.Spans), *decoded.Dropped)
 	}
 }
 
@@ -118,7 +133,7 @@ func TestContextCarriesCollector(t *testing.T) {
 	if _, ok := FromContext(context.Background()).(Nop); !ok {
 		t.Fatal("FromContext(plain ctx) is not Nop")
 	}
-	rec := NewRecording()
+	rec := NewFlightRecorder(1, 64)
 	ctx := NewContext(context.Background(), rec)
 	if FromContext(ctx) != rec {
 		t.Fatal("collector did not round-trip through context")

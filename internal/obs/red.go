@@ -5,9 +5,9 @@
 // One routeMetrics per registered route pattern; the route set is fixed at
 // mux construction so the map is effectively read-only after warmup and
 // observations touch only atomics (plus the exemplar mutex, uncontended in
-// practice). Latency reuses the flight recorder's log-2-bucket spanHist, so
-// the p50/p95/p99 digests on /metrics are computed the same way as the
-// algorithm-span digests of PR 4.
+// practice). Latency reuses the flight recorder's log-2-bucket spanHist and
+// its Prometheus writer, so the histograms and p50/p95/p99 digests on
+// /metrics are computed and printed the same way as the algorithm spans'.
 package obs
 
 import (
@@ -136,26 +136,7 @@ func (m *HTTPMetrics) WritePrometheus(w io.Writer) error {
 	b.WriteString("# HELP llpmst_http_request_duration_seconds Request latency histogram (log-2 nanosecond buckets).\n")
 	b.WriteString("# TYPE llpmst_http_request_duration_seconds histogram\n")
 	for _, r := range routes {
-		label := promEscape(r.route)
-		count := r.hist.count.Load()
-		if count == 0 {
-			continue
-		}
-		var cum int64
-		for bkt := 0; bkt < histBuckets; bkt++ {
-			n := r.hist.buckets[bkt].Load()
-			if n == 0 {
-				continue
-			}
-			cum += n
-			upper := float64(int64(1)<<uint(bkt)) / 1e9
-			fmt.Fprintf(&b, "llpmst_http_request_duration_seconds_bucket{route=\"%s\",le=\"%g\"} %d\n",
-				label, upper, cum)
-		}
-		fmt.Fprintf(&b, "llpmst_http_request_duration_seconds_bucket{route=\"%s\",le=\"+Inf\"} %d\n", label, count)
-		fmt.Fprintf(&b, "llpmst_http_request_duration_seconds_sum{route=\"%s\"} %g\n",
-			label, float64(r.hist.sumNS.Load())/1e9)
-		fmt.Fprintf(&b, "llpmst_http_request_duration_seconds_count{route=\"%s\"} %d\n", label, count)
+		r.hist.writeProm(&b, "llpmst_http_request_duration_seconds", "route", r.route)
 	}
 
 	b.WriteString("# HELP llpmst_http_request_duration_quantile_seconds Log-2 bucket upper bound containing the quantile.\n")

@@ -49,3 +49,27 @@ func TestPromEscape(t *testing.T) {
 		t.Fatalf("PromEscape(%q) = %q, want %q", in, got, want)
 	}
 }
+
+// Both histogram families escape a label value exactly once: a quote in a
+// span name or a route must come out as \" — not as \\\" (escaped twice).
+func TestPrometheusHistogramLabelEscaping(t *testing.T) {
+	rec := NewFlightRecorder(1, 64)
+	rec.Span(`a"b`)()
+	var b strings.Builder
+	if err := rec.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	if want := `llpmst_span_duration_seconds_count{span="a\"b"} 1`; !strings.Contains(b.String(), want+"\n") {
+		t.Errorf("flight recorder export missing %q:\n%s", want, b.String())
+	}
+
+	m := NewHTTPMetrics()
+	m.Observe(`GET /a"b`, 200, time.Millisecond, TraceID{})
+	b.Reset()
+	if err := m.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	if want := `llpmst_http_request_duration_seconds_count{route="GET /a\"b"} 1`; !strings.Contains(b.String(), want+"\n") {
+		t.Errorf("RED export missing %q:\n%s", want, b.String())
+	}
+}

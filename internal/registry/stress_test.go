@@ -22,7 +22,7 @@ func TestSingleflightCollapses500ConcurrentSolves(t *testing.T) {
 	const racers = 500
 	before := runtime.NumGoroutine()
 
-	rec := obs.NewRecording()
+	rec := obs.NewFlightRecorder(0, 0)
 	sol := &countingSolver{block: make(chan struct{})}
 	r := New(Config{Solver: sol, Observer: rec})
 	g := testGraph(30)

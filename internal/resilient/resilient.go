@@ -235,33 +235,12 @@ func (r *Runner) breakerFor(alg mst.Algorithm) *breaker {
 // so with no per-request collector this is exactly the configured Observer,
 // and with no Observer it is exactly the context's. The serving layer uses
 // the context side to attach a per-request FlightRecorder whose round
-// summary lands in the request's trace.
+// summary lands in the request's trace. Portfolio legs and the fallback
+// report to this collector directly — concurrent legs included, since a
+// Collector is safe for concurrent use — so each backend's spans reach it.
 func (r *Runner) collector(ctx context.Context) obs.Collector {
 	return obs.Tee(r.cfg.Observer, obs.FromContext(ctx))
 }
-
-// legNopEnd is countsOnly's shared span closer, so Span never allocates.
-var legNopEnd = func() {}
-
-// countsOnly forwards counters and gauges to col but drops spans, round
-// marks, and worker attribution. Count and Gauge are safe for concurrent
-// use on every Collector (the FlightRecorder claims ring slots with an
-// atomic add), but a cursor's Span open/close tracking is per-goroutine
-// state — two hedge legs running the same algorithm phases concurrently
-// against one recorder would corrupt it. The runner therefore gives
-// concurrent legs this counters-only view; exact scheduler/algorithm
-// counters still land in /metrics.
-type countsOnly struct{ col obs.Collector }
-
-func (c countsOnly) Span(string) func()             { return legNopEnd }
-func (c countsOnly) Count(ctr obs.Counter, d int64) { c.col.Count(ctr, d) }
-func (c countsOnly) Gauge(g obs.Gauge, v int64)     { c.col.Gauge(g, v) }
-
-// Round forwards round marks: MarkRound is an atomic ring claim on the
-// FlightRecorder (unlike cursor spans it has no per-goroutine state), so
-// concurrent legs marking rounds is safe, and the per-request recorder a
-// trace attaches needs the marks to segment its round summary.
-func (c countsOnly) Round(r int64) { obs.MarkRound(c.col, r) }
 
 // primFamily reports whether alg belongs to the Prim family (heap-driven,
 // the paper's dense-graph winners).
@@ -472,7 +451,7 @@ func (r *Runner) solve(ctx context.Context, sp obs.Span, g *graph.CSR) (Result, 
 	col.Count(obs.CtrFallbackUsed, 1)
 	fsp := legRef.Start("resilient.fallback")
 	fsp.SetAttr("alg", string(mst.AlgKruskal))
-	f, err := mst.Run(mst.AlgKruskal, g, mst.Options{Ctx: ctx, Metrics: nil, Observer: countsOnly{col}})
+	f, err := mst.Run(mst.AlgKruskal, g, mst.Options{Ctx: ctx, Metrics: nil, Observer: col})
 	fsp.SetError(err)
 	fsp.End()
 	if err != nil {
@@ -613,7 +592,7 @@ func (r *Runner) runLeg(ctx context.Context, col obs.Collector, ref obs.TraceRef
 			}
 		}()
 		r.chaos.strike(ctx, alg)
-		f, err = mst.RunCtx(ctx, alg, g, mst.Options{Workers: r.cfg.Workers, Observer: countsOnly{col}})
+		f, err = mst.RunCtx(ctx, alg, g, mst.Options{Workers: r.cfg.Workers, Observer: col})
 	}()
 	elapsed := time.Since(start)
 

@@ -392,6 +392,42 @@ func TestChaosAcceptance(t *testing.T) {
 	}
 }
 
+// Portfolio legs report to the runner's Observer directly, spans included:
+// after a hedged solve the recorder holds a latency digest for the backend
+// that won. Under -race this also proves that two legs opening spans on one
+// recorder at once is clean.
+func TestHedgedSolveSpansReachObserver(t *testing.T) {
+	flight := obs.NewFlightRecorder(1, 1<<12)
+	primary, backup := mst.AlgLLPPrimAsync, mst.AlgLLPBoruvka
+	r := New(Config{
+		Primary:    primary,
+		Backup:     backup,
+		Workers:    2,
+		HedgeDelay: time.Millisecond,
+		Observer:   flight,
+		Chaos: &Chaos{
+			Unit: 20 * time.Millisecond,
+			Plan: fault.Plan{Arcs: map[int64]fault.Probs{
+				ChaosArc(primary): {Delay: 1, MaxDelay: 1}, // the primary stalls past the hedge delay
+			}},
+		},
+	})
+	g := gen.ErdosRenyi(1, 800, 3200, gen.WeightUniform, 12)
+	res, err := r.Solve(context.Background(), g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if !res.Hedged || !res.Forest.Equal(oracle(t, g)) {
+		t.Fatalf("hedged=%v, forest equal=%v; want a hedged, exact solve", res.Hedged, res.Forest.Equal(oracle(t, g)))
+	}
+	if s, ok := flight.SpanSummary(string(res.Algorithm)); !ok || s.Count < 1 {
+		t.Fatalf("no span digest for winning backend %s (have %v)", res.Algorithm, flight.SpanSummaries())
+	}
+}
+
 // TestHedgeSlowPrimaryBackupWins forces a slow (but healthy) primary and
 // checks the hedge path end to end: the backup launches after the hedge
 // delay, wins, the loser observes its cancellation, and stats agree.

@@ -63,8 +63,24 @@ func soakGraph(family string, seed int64) *graph.CSR {
 func TestDifferentialSoakUnderChaos(t *testing.T) {
 	families := []string{"sparse", "dense", "disconnected", "multi"}
 	perFamily := 13 // 4*13 = 52 graphs
+	// Every leg has a 30% chance to panic and a 30% chance to stall 1..2ms
+	// — enough churn to exercise retry, breaker, hedge, and fallback paths
+	// across the corpus.
+	plan := fault.Plan{
+		Seed:    7,
+		Default: fault.Probs{Drop: 0.3, Delay: 0.3, MaxDelay: 2},
+	}
 	if testing.Short() {
+		// 16 graphs are too few for the dice to trip a breaker every time,
+		// so the short run scripts its strikes: every LLP-Prim-Async leg
+		// panics and every LLP-Boruvka leg stalls past the hedge delay. The
+		// four multi graphs lead with LLP-Prim-Async, so its breaker trips
+		// whatever the scheduling, while LLP-Boruvka answers every graph.
 		perFamily = 4
+		plan = fault.Plan{Arcs: map[int64]fault.Probs{
+			ChaosArc(mst.AlgLLPPrimAsync): {Drop: 1},
+			ChaosArc(mst.AlgLLPBoruvka):   {Delay: 1, MaxDelay: 2},
+		}}
 	}
 
 	r := New(Config{
@@ -76,16 +92,7 @@ func TestDifferentialSoakUnderChaos(t *testing.T) {
 		// keep probing across the corpus instead of parking every solve on
 		// the fallback.
 		BreakerCooldown: 50 * time.Millisecond,
-		Chaos: &Chaos{
-			// Every leg has a 30% chance to panic and a 30% chance to stall
-			// 1..2ms — enough churn to exercise retry, breaker, hedge, and
-			// fallback paths across the corpus.
-			Plan: fault.Plan{
-				Seed:    7,
-				Default: fault.Probs{Drop: 0.3, Delay: 0.3, MaxDelay: 2},
-			},
-			Unit: time.Millisecond,
-		},
+		Chaos:           &Chaos{Plan: plan, Unit: time.Millisecond},
 	})
 
 	sawFallback, sawHedge := false, false

@@ -136,7 +136,7 @@ func TestForEachAsyncCtxNoGoroutineLeak(t *testing.T) {
 
 func TestForEachAsyncObsCounters(t *testing.T) {
 	for _, p := range []int{1, 4} {
-		rec := obs.NewRecording()
+		rec := obs.NewFlightRecorder(0, 0)
 		var processed atomic.Int64
 		err := new(Bag[int]).ForEachObs(context.Background(), p, []int{0, 1, 2, 3}, func(x int, push func(int)) {
 			processed.Add(1)
@@ -159,7 +159,7 @@ func TestForEachAsyncObsCounters(t *testing.T) {
 		if rec.GaugeMax(obs.GaugeQueueDepth) < 1 {
 			t.Fatalf("p=%d: queue depth gauge never reported", p)
 		}
-		if len(rec.Spans()) == 0 {
+		if len(rec.SpanSummaries()) == 0 {
 			t.Fatalf("p=%d: no scheduler span recorded", p)
 		}
 	}

@@ -38,7 +38,7 @@ func seq(n int) []int {
 func TestForEachAsyncObsPanic(t *testing.T) {
 	for _, p := range []int{1, 4} {
 		before := runtime.NumGoroutine()
-		rec := obs.NewRecording()
+		rec := obs.NewFlightRecorder(0, 0)
 		var processed atomic.Int64
 		err := new(Bag[int]).ForEachObs(context.Background(), p, seq(10_000), func(item int, push func(int)) {
 			if item == 5_000 {

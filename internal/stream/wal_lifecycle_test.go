@@ -17,7 +17,7 @@ import (
 // fsync is the one Close performs.
 func TestWALCloseStopsTickerAndFlushes(t *testing.T) {
 	before := runtime.NumGoroutine()
-	rec := obs.NewRecording()
+	rec := obs.NewFlightRecorder(0, 0)
 	path := filepath.Join(t.TempDir(), walFile)
 	w, err := openWAL(path, SyncInterval, time.Hour, rec)
 	if err != nil {
@@ -69,7 +69,7 @@ func TestWALCloseStopsTickerAndFlushes(t *testing.T) {
 // with a short interval, the background ticker itself makes a dirty log
 // durable without any explicit Sync.
 func TestWALIntervalTickerFlushes(t *testing.T) {
-	rec := obs.NewRecording()
+	rec := obs.NewFlightRecorder(0, 0)
 	path := filepath.Join(t.TempDir(), walFile)
 	w, err := openWAL(path, SyncInterval, time.Millisecond, rec)
 	if err != nil {

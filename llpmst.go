@@ -212,16 +212,6 @@ type (
 	ObsGauge   = obs.Gauge
 )
 
-// RecordingObserver is an Observer that accumulates everything in memory:
-// per-span wall-clock timeline, counter totals, and gauge maxima. Safe for
-// concurrent use; see NewRecordingObserver.
-type RecordingObserver = obs.Recording
-
-// NewRecordingObserver returns an empty RecordingObserver. Query it with
-// Counter/GaugeMax/Spans after the run, or serialize the whole capture with
-// WriteTimeline (the payload behind mstbench -trace-out).
-func NewRecordingObserver() *RecordingObserver { return obs.NewRecording() }
-
 // WithObserver returns a context carrying col. Runs that receive the
 // context (RunCtx, MinimumSpanningForestCtx, or Options.Ctx) report to col
 // without needing Options.Observer set — useful when the context already
@@ -232,12 +222,14 @@ func WithObserver(ctx context.Context, col Observer) context.Context {
 
 // FlightRecorder is an always-on, allocation-free Observer: per-worker ring
 // buffers of timestamped events (spans, counter deltas, gauge samples, round
-// markers) with worker and round attribution. After — or during — a run,
-// query RoundSeries for per-round convergence data (live edges, pointer-jump
-// work, early-fix vs heap traffic), SpanSummaries for log-bucket latency
-// digests, or export the capture with WriteChromeTrace (Perfetto-loadable,
-// one track per worker), WritePrometheus / WriteProgress (the payloads
-// behind mstbench's /metrics and /progress endpoints), and WriteRoundCSV.
+// markers) with worker and round attribution. Every method, spans included,
+// is safe for concurrent use. After — or during — a run, query Counter and
+// GaugeMax for totals, RoundSeries for per-round convergence data (live
+// edges, pointer-jump work, early-fix vs heap traffic), SpanSummaries for
+// log-bucket latency digests, or export the capture with WriteTimeline (the
+// JSON behind mstbench -trace-out), WriteChromeTrace (Perfetto-loadable, one
+// track per worker), WritePrometheus / WriteProgress (the payloads behind
+// mstbench's /metrics and /progress endpoints), and WriteRoundCSV.
 type FlightRecorder = obs.FlightRecorder
 
 // RoundStats is one round's segment of a FlightRecorder capture: counter
