@@ -27,7 +27,6 @@ type streamConfig struct {
 	sync          stream.SyncPolicy
 	syncInterval  time.Duration
 	snapshotEvery int
-	workers       int
 	// recoverHold artificially stretches startup recovery so drills can
 	// observe the 503 "recovering" health window.
 	recoverHold time.Duration
@@ -128,7 +127,6 @@ func (m *streamManager) engineConfig(id string, vertices int) stream.Config {
 		Sync:          m.cfg.sync,
 		SyncInterval:  m.cfg.syncInterval,
 		SnapshotEvery: m.cfg.snapshotEvery,
-		Workers:       m.cfg.workers,
 		Observer:      m.cfg.observer,
 	}
 	if m.cfg.dir != "" {

@@ -28,10 +28,12 @@ import (
 // The parallel runtime (internal/par, internal/sched) recovers worker
 // panics, drains the remaining workers, and re-raises the first panic as a
 // *par.PanicError on the algorithm goroutine (or returns it as an error
-// from sched.Bag.ForEachObs). Each of the five parallel
-// algorithms converts that into an ordinary error with recoverPanic: the
+// from sched.Bag.ForEachObs). Each parallel algorithm converts that into
+// an ordinary error (recoverPanic, or runParPrim's cursor snapshot): the
 // caller gets the partial forest built so far plus an error wrapping the
 // *par.PanicError (reachable via errors.As), and the process survives.
+// Phase spans are closed however the run exits (see phase), so a panic
+// never strands a FlightRecorder span slot.
 //
 // The partial forest is sound for the same reason as under cancellation:
 // edges enter ids either individually justified (CAS-won minimum-weight
@@ -61,6 +63,21 @@ func recoverPanic(alg Algorithm, g *graph.CSR, ids *[]uint32, want int, f **Fore
 	pe := par.AsPanicError(r, -1)
 	*f = newForest(g, slices.Clone(*ids))
 	*err = panicked(alg, pe, len(*ids), want)
+}
+
+// phase is a run's open phase span. Runs defer close, so a panic that
+// unwinds mid-phase still ends the span: a span left open would hold one of
+// its FlightRecorder cursor's span slots for good.
+type phase struct{ end func() }
+
+func (ph *phase) begin(col obs.Collector, name string) { ph.end = col.Span(name) }
+
+// close ends the open span, if any; calling it again is a no-op.
+func (ph *phase) close() {
+	if end := ph.end; end != nil {
+		ph.end = nil
+		end()
+	}
 }
 
 // interrupted wraps a cancellation error with the algorithm name and how

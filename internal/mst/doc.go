@@ -31,6 +31,18 @@
 //     is kept for comparison; the resilient portfolio never picks it.
 //   - AlgKKT: randomized linear-work Karger–Klein–Tarjan.
 //
+// # Shared machinery
+//
+// As the paper builds every algorithm from one LLP engine plus a
+// per-problem predicate, backends keep only the code that makes them
+// different. LLPBoruvka, SemiringBoruvka and KKT's contraction steps run
+// one Boruvka round (contraction.round: symmetry-broken parents, LLP
+// pointer jumping to stars, contraction) after a per-backend selection
+// kernel — an atomic write-min push or a row-blocked min-plus SpMV pull,
+// two forms of one product. LLPPrimParallel and LLPPrimAsync share one
+// driver (runParPrim) and differ only in how the bag R is drained:
+// barrier-synchronized frontier waves, or the work-stealing bag.
+//
 // Parallel algorithms draw all O(n+m) scratch from an Options.Workspace
 // arena (or a pooled default), so steady-state runs allocate O(1); see
 // Workspace and EstimateScratchBytes.

@@ -8,9 +8,10 @@ import (
 )
 
 // FuzzDifferentialMSF decodes arbitrary bytes into a small weighted graph
-// and differential-checks the parallel backends — including the semiring
-// (sparse-matrix) Boruvka — against the Kruskal oracle at worker counts
-// {1, 2, GOMAXPROCS}. The decoder is
+// and differential-checks the backends built on the shared Boruvka
+// contraction round (LLP-Boruvka, the semiring Boruvka, KKT) and on the
+// shared parallel LLP-Prim driver (both drains) against the Kruskal oracle
+// at worker counts {1, 2, GOMAXPROCS}. The decoder is
 // deliberately permissive (endpoints wrap modulo n, weights come from a
 // small integer range so ties are dense), so the fuzzer explores tie-heavy,
 // multi-edge, self-loop-adjacent shapes that generators rarely emit.
@@ -43,7 +44,7 @@ func FuzzDifferentialMSF(f *testing.F) {
 		}
 		oracle := Kruskal(g)
 		for _, p := range []int{1, 2, runtime.GOMAXPROCS(0)} {
-			for _, alg := range []Algorithm{AlgSemiringBoruvka, AlgLLPBoruvka, AlgLLPPrimAsync} {
+			for _, alg := range []Algorithm{AlgSemiringBoruvka, AlgLLPBoruvka, AlgLLPPrimParallel, AlgLLPPrimAsync, AlgKKT} {
 				forest, err := Run(alg, g, Options{Workers: p})
 				if err != nil {
 					t.Fatalf("%s p=%d: %v", alg, p, err)

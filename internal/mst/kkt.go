@@ -1,9 +1,13 @@
 package mst
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 
 	"llpmst/internal/graph"
+	"llpmst/internal/llp"
+	"llpmst/internal/obs"
 	"llpmst/internal/par"
 	"llpmst/internal/unionfind"
 )
@@ -31,15 +35,17 @@ import (
 //
 // The coin flips come from Options.Seed, so runs are reproducible.
 func KKT(g *graph.CSR, opts Options) *Forest {
-	m := g.NumEdges()
+	n, m := g.NumVertices(), g.NumEdges()
+	ws, release := opts.workspace()
+	defer release()
 	edges := make([]cedge, m)
 	for i := 0; i < m; i++ {
 		e := g.Edge(uint32(i))
 		edges[i] = cedge{u: e.U, v: e.V, key: par.PackKey(e.W, uint32(i))}
 	}
 	rng := rand.New(rand.NewSource(opts.Seed ^ 0x6b6b74)) // "kkt"
-	k := &kktState{rng: rng, marks: make([]bool, m)}
-	ids := k.msf(g.NumVertices(), edges)
+	k := &kktState{rng: rng, marks: make([]bool, m), c: newKKTContraction(ws, n)}
+	ids := k.msf(n, edges)
 	if opts.Metrics != nil {
 		*opts.Metrics = WorkMetrics{Rounds: k.levels}
 	}
@@ -53,7 +59,18 @@ const kktBaseSize = 1 << 10
 type kktState struct {
 	rng    *rand.Rand
 	marks  []bool // indexed by original edge id; scratch for set membership
+	c      *contraction
 	levels int64
+}
+
+// newKKTContraction returns the contraction KKT's Boruvka steps run on:
+// LLP-Boruvka's round at one worker with sequential pointer jumping (the
+// subproblem parallelism, if any, belongs to the caller), recording
+// nothing.
+func newKKTContraction(ws *Workspace, n int) *contraction {
+	c := newContraction(ws, n, Options{Workers: 1, JumpMode: llp.ModeSequential}, obs.Nop{}, &llpBoruvkaNames)
+	c.sel = c.writeMinKernel()
+	return c
 }
 
 // msf returns the original edge ids of the minimum spanning forest of the
@@ -69,9 +86,12 @@ func (k *kktState) msf(nv int, edges []cedge) []uint32 {
 	// Step 1: two Boruvka contraction rounds.
 	var chosen []uint32
 	for step := 0; step < 2 && len(edges) > 0; step++ {
-		var picked []uint32
-		nv, edges, picked = boruvkaStep(nv, edges)
+		// The survivors go to a fresh slice: edges (e.g. the caller's
+		// sample) is read again after contraction.
+		k.c.nv, k.c.edges = nv, edges
+		picked, _ := k.c.round(make([]cedge, 0, len(edges)/2))
 		chosen = append(chosen, picked...)
+		nv, edges = k.c.nv, k.c.edges
 	}
 	if len(edges) == 0 {
 		return chosen
@@ -123,104 +143,15 @@ func (k *kktState) msf(nv int, edges []cedge) []uint32 {
 }
 
 // kruskalEdges is the base case: sort-and-scan Kruskal over a contracted
-// edge list, returning original edge ids.
+// edge list, returning original edge ids. It sorts edges in place.
 func kruskalEdges(nv int, edges []cedge) []uint32 {
-	keysByEdge := make(map[uint64]cedge, len(edges))
-	keys := make([]uint64, len(edges))
-	for i, e := range edges {
-		keys[i] = e.key
-		keysByEdge[e.key] = e
-	}
-	par.SortUint64(1, keys)
+	slices.SortFunc(edges, func(a, b cedge) int { return cmp.Compare(a.key, b.key) })
 	uf := unionfind.New(nv)
 	var ids []uint32
-	for _, key := range keys {
-		e := keysByEdge[key]
+	for _, e := range edges {
 		if uf.Union(e.u, e.v) {
-			ids = append(ids, par.KeyID(key))
+			ids = append(ids, par.KeyID(e.key))
 		}
 	}
 	return ids
-}
-
-// boruvkaStep performs one Boruvka contraction round on a contracted
-// multigraph: every vertex picks its minimum incident edge, mutual picks
-// are symmetry-broken into rooted trees, trees are flattened and
-// contracted. Returns the new vertex count, the relabelled surviving cross
-// edges, and the original ids of the chosen MSF edges. Sequential — used by
-// KKT's recursion, where subproblem parallelism comes from the caller.
-func boruvkaStep(nv int, edges []cedge) (int, []cedge, []uint32) {
-	best := make([]uint64, nv)
-	for i := range best {
-		best[i] = par.InfKey
-	}
-	for _, e := range edges {
-		if e.key < best[e.u] {
-			best[e.u] = e.key
-		}
-		if e.key < best[e.v] {
-			best[e.v] = e.key
-		}
-	}
-	bestIdx := make([]int32, nv)
-	for i := range bestIdx {
-		bestIdx[i] = -1
-	}
-	for i := range edges {
-		e := &edges[i]
-		if best[e.u] == e.key {
-			bestIdx[e.u] = int32(i)
-		}
-		if best[e.v] == e.key {
-			bestIdx[e.v] = int32(i)
-		}
-	}
-	G := make([]uint32, nv)
-	var chosen []uint32
-	for v := 0; v < nv; v++ {
-		bi := bestIdx[v]
-		if bi < 0 {
-			G[v] = uint32(v)
-			continue
-		}
-		e := &edges[bi]
-		w := e.u
-		if w == uint32(v) {
-			w = e.v
-		}
-		mutual := bestIdx[w] == bi
-		if mutual && uint32(v) < w {
-			G[v] = uint32(v)
-		} else {
-			G[v] = w
-		}
-		if !mutual || uint32(v) < w {
-			chosen = append(chosen, par.KeyID(e.key))
-		}
-	}
-	// Flatten to stars (sequential pointer jumping).
-	for v := 0; v < nv; v++ {
-		for G[v] != G[G[v]] {
-			G[v] = G[G[v]]
-		}
-	}
-	// Contract.
-	newID := make([]uint32, nv)
-	next := uint32(0)
-	for v := 0; v < nv; v++ {
-		if G[v] == uint32(v) {
-			newID[v] = next
-			next++
-		}
-	}
-	// Fresh slice: callers keep reading the input list (e.g. KKT's sample)
-	// after contraction, so it must not be clobbered in place.
-	out := make([]cedge, 0, len(edges)/2)
-	for _, e := range edges {
-		gu, gv := G[e.u], G[e.v]
-		if gu != gv {
-			out = append(out, cedge{u: newID[gu], v: newID[gv], key: e.key})
-		}
-	}
-	return int(next), out, chosen
 }

@@ -51,7 +51,13 @@ func TestBoruvkaStepInvariants(t *testing.T) {
 		e := g.Edge(uint32(i))
 		edges[i] = cedge{u: e.U, v: e.V, key: g.EdgeKey(uint32(i))}
 	}
-	nv, rest, chosen := boruvkaStep(100, edges)
+	c := newKKTContraction(NewWorkspace(), 100)
+	c.edges = edges
+	chosen, ok := c.round(nil)
+	nv, rest := c.nv, c.edges
+	if !ok {
+		t.Fatal("uncancellable round reported a cancel")
+	}
 	// Boruvka at least halves the vertex count on a graph with no isolated
 	// vertices.
 	if nv > 50 {

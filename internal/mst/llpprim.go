@@ -1,6 +1,8 @@
 package mst
 
 import (
+	"context"
+	"errors"
 	"slices"
 	"sync/atomic"
 
@@ -8,14 +10,6 @@ import (
 	"llpmst/internal/obs"
 	"llpmst/internal/par"
 )
-
-// waveRec carries one frontier-expansion outcome of LLPPrimParallel:
-// eid == qMark flags a Q candidate, anything else a newly fixed vertex and
-// its tree edge.
-type waveRec struct{ v, eid uint32 }
-
-// qMark is the waveRec.eid sentinel for "staged for Q, not fixed".
-const qMark = ^uint32(0)
 
 // LLP-Prim (Algorithm 5, "early fixing"). The state vector G of the LLP
 // formulation (Algorithm 4) — each vertex's currently proposed parent edge —
@@ -219,53 +213,191 @@ cancelled:
 }
 
 // LLPPrimParallel runs Algorithm 5 with the bag R processed by
-// opts.Workers goroutines: the vertices of R form a frontier whose arcs are
-// explored in parallel ("If R consists of multiple vertices then all of them
-// can be explored in parallel", §V.A). Fixing races are resolved with a CAS
-// per vertex, tentative keys with atomic write-min; the heap is touched only
-// in the sequential region between frontier waves, where Q is flushed.
-// Cancellation via opts.Ctx is polled between waves and (strided) inside
-// them; a cancelled run returns the partial forest plus a non-nil error. A
-// worker panic, re-raised by the par runtime after all workers have joined,
-// is converted into a *par.PanicError with the same partial-forest contract
-// (see recoverPanic).
-func LLPPrimParallel(g *graph.CSR, opts Options) (f *Forest, err error) {
+// opts.Workers goroutines in barrier-synchronized frontier waves: the
+// vertices of R form a frontier whose arcs are explored in parallel ("If R
+// consists of multiple vertices then all of them can be explored in
+// parallel", §V.A), and the vertices a wave fixes form the next wave.
+// Everything else — Q staging, the heap region between drains,
+// cancellation and panics — is the driver it shares with LLPPrimAsync (see
+// runParPrim).
+func LLPPrimParallel(g *graph.CSR, opts Options) (*Forest, error) {
+	return runParPrim(AlgLLPPrimParallel, g, opts, "llp-prim-par", (*parPrim).waveDrain)
+}
+
+// parPrim is the state of a parallel LLP-Prim run, shared by the driver and
+// its drain. fixed, dist and inQ are written atomically by the drain's
+// workers. ids (the chosen tree edges) and q (the staging set Q) are
+// claimed by atomic cursor: a vertex is fixed once and staged at most once
+// per drain (inQ dedups), so n slots suffice.
+type parPrim struct {
+	g        *graph.CSR
+	p        int
+	ctx      context.Context
+	cc       *par.Canceller
+	col      obs.Collector
+	ws       *Workspace
+	mwe      []uint64
+	earlyFix bool
+	fixed    []uint32 // atomic 0/1
+	dist     []uint64 // atomic packed keys
+	inQ      []uint32 // atomic 0/1
+	ids, q   []uint32
+	nIDs, nQ atomic.Int64
+	round    int64 // the drain's round marks: per frontier wave or per bag cycle
+}
+
+// runParPrim is the driver LLPPrimParallel and LLPPrimAsync share. Each
+// component is grown from its first unfixed vertex by alternating two
+// steps until the heap runs dry: drain the bag R (the step the two
+// schedules differ in; newDrain builds it once per run, and the drain it
+// returns may reuse seed's storage), then flush Q into the heap and fix the
+// fragment's nearest neighbor with a heap pop, which seeds the next drain.
+//
+// Cancellation is polled by the drain and (strided) in the heap region. A
+// cancelled run, or one whose worker panicked, returns the edges chosen so
+// far with an error (see recoverPanic). Every id written through the cursor
+// is individually sound — a CAS-won minimum-weight edge or a heap-popped
+// minimum cut edge — so the snapshot taken after the workers join is a
+// subset of the canonical MSF.
+func runParPrim(alg Algorithm, g *graph.CSR, opts Options, span string, newDrain func(s *parPrim) func(seed []uint32) error) (f *Forest, err error) {
 	n := g.NumVertices()
 	ws, release := opts.workspace()
 	defer release()
-	ids := ws.idsBuf(n)[:0]
-	defer recoverPanic(AlgLLPPrimParallel, g, &ids, n-1, &f, &err)
-	p := opts.workers()
-	mwe := minWeightEdges(p, g)
-	earlyFix := !opts.NoEarlyFix
-	staging := !opts.NoStaging
-	cc := opts.canceller()
-	col := opts.collector()
-	defer col.Span("llp-prim-par")()
+	s := &parPrim{g: g, p: opts.workers(), ctx: opts.Ctx, ws: ws, ids: ws.idsBuf(n), q: ws.stageBuf(n)}
+	defer func() {
+		if r := recover(); r != nil {
+			chosen := slices.Clone(s.ids[:s.nIDs.Load()])
+			f = newForest(g, chosen)
+			err = panicked(alg, par.AsPanicError(r, -1), len(chosen), n-1)
+		}
+	}()
+	s.mwe = minWeightEdges(s.p, g)
+	s.earlyFix = !opts.NoEarlyFix
+	s.cc, s.col = opts.canceller(), opts.collector()
+	cc, col := s.cc, s.col
+	defer col.Span(span)()
 
-	fixed := ws.flagsABuf(n) // atomic 0/1
-	par.Fill(p, fixed, 0)
-	dist := ws.keysBuf(n) // atomic packed keys
-	par.FillKeys(p, dist, par.InfKey)
-	inQ := ws.flagsBBuf(n) // atomic 0/1
-	par.Fill(p, inQ, 0)
+	s.fixed = ws.flagsABuf(n)
+	par.Fill(s.p, s.fixed, 0)
+	s.dist = ws.keysBuf(n)
+	par.FillKeys(s.p, s.dist, par.InfKey)
+	s.inQ = ws.flagsBBuf(n)
+	par.Fill(s.p, s.inQ, 0)
 	h := ws.heapBuf()
-	qbuf := ws.stageBuf(n)[:0]
+	drain := newDrain(s)
 
-	frontier := ws.bagBuf(n)[:0]
-	// The wave body is hoisted out of the round loop (capturing the current
-	// wave through the variable) so steady-state rounds allocate nothing.
-	// Each chunk runs under the executing worker's attributed collector
-	// view: the chunk's exploration span and early-fix count land on that
-	// worker's track. The driver deliberately does NOT emit CtrEarlyFix —
-	// a chunk's non-qMark records are exactly the CAS-won fixings the
-	// driver later counts into WorkMetrics, so the streamed total already
-	// matches and double emission would break observer/metrics consistency.
+	var pushes, pops, stale, heapFixes int64
+	var ePushes, ePops, eEarly int64 // counts already streamed to col
+	// flush streams the not-yet-emitted counter deltas and refreshes the
+	// metrics snapshot. It runs once per drain-and-fix cycle (so
+	// round-aware collectors see the early-fix vs heap traffic mix as it
+	// happens) and at exit. Early fixes are derived: every chosen edge that
+	// was not a heap fix was an early CAS fix.
+	flush := func() {
+		early := s.nIDs.Load() - heapFixes
+		if d := pushes - ePushes; d != 0 {
+			col.Count(obs.CtrHeapPush, d)
+			ePushes = pushes
+		}
+		if d := pops - ePops; d != 0 {
+			col.Count(obs.CtrHeapPop, d)
+			ePops = pops
+		}
+		if d := early - eEarly; d != 0 {
+			col.Count(obs.CtrEarlyFix, d)
+			eEarly = early
+		}
+		if opts.Metrics != nil {
+			*opts.Metrics = WorkMetrics{
+				HeapPushes: pushes, HeapPops: pops, StalePops: stale,
+				EarlyFixes: early, HeapFixes: heapFixes,
+			}
+		}
+	}
+	finish := func(cancelled bool) (*Forest, error) {
+		chosen := slices.Clone(s.ids[:s.nIDs.Load()])
+		flush()
+		f := newForest(g, chosen)
+		if cancelled {
+			return f, interrupted(alg, cc, len(chosen), n-1)
+		}
+		return f, nil
+	}
+
+	seed := ws.bagBuf(n)
+	step := 0 // work-item index for strided cancellation polls
+	for v := 0; v < n; v++ {
+		if atomic.LoadUint32(&s.fixed[v]) == 1 {
+			continue
+		}
+		if cc.Stride(v) {
+			return finish(true)
+		}
+		s.fixed[v] = 1
+		seed = append(seed[:0], uint32(v))
+		for {
+			if derr := drain(seed); derr != nil {
+				// A worker panic the scheduler returned funnels through the
+				// deferred recover above, so there is a single conversion
+				// path; anything else is cancellation.
+				var pe *par.PanicError
+				if errors.As(derr, &pe) {
+					panic(pe)
+				}
+				return finish(true)
+			}
+			// R drained (the workers have joined): flush Q into the heap,
+			// then fix the fragment's nearest neighbor.
+			for _, k := range s.q[:s.nQ.Load()] {
+				s.inQ[k] = 0
+				if s.fixed[k] == 0 {
+					h.Push(k, s.dist[k])
+					pushes++
+				}
+			}
+			s.nQ.Store(0)
+			col.Gauge(obs.GaugeHeapSize, int64(h.Len()))
+			fixedOne := false
+			for !h.Empty() {
+				if step++; cc.Stride(step) {
+					return finish(true)
+				}
+				k, key := h.PopMin()
+				pops++
+				if s.fixed[k] == 1 || key != s.dist[k] {
+					stale++
+					continue // stale entry
+				}
+				s.fixed[k] = 1
+				s.ids[s.nIDs.Add(1)-1] = par.KeyID(key)
+				seed = append(seed[:0], k)
+				heapFixes++
+				fixedOne = true
+				break
+			}
+			flush()
+			if !fixedOne {
+				break // component complete
+			}
+		}
+	}
+	return finish(false)
+}
+
+// waveDrain is LLPPrimParallel's drain: barrier-synchronized frontier
+// waves. Fixing races are resolved with a CAS per vertex, tentative keys
+// with atomic write-min. Each wave is a round segment for round-aware
+// collectors, and each chunk runs under the executing worker's attributed
+// collector view, so its exploration span lands on that worker's track.
+func (s *parPrim) waveDrain() func(seed []uint32) error {
+	g, mwe, earlyFix, cc := s.g, s.mwe, s.earlyFix, s.cc
+	fixed, dist, inQ, ids, q := s.fixed, s.dist, s.inQ, s.ids, s.q
+	// The wave body is hoisted out of the wave loop (capturing the current
+	// wave through the variable) so steady-state waves allocate nothing.
 	var wave []uint32
-	waveBody := func(w, lo, hi int, out []waveRec) []waveRec {
-		wcol := obs.ForWorker(col, w)
-		endChunk := wcol.Span("llp-prim-par.wave")
-		var chunkEarly int64
+	waveBody := func(w, lo, hi int, out []uint32) []uint32 {
+		endChunk := obs.ForWorker(s.col, w).Span("llp-prim-par.wave")
+		defer endChunk()
 		for i := lo; i < hi; i++ {
 			if cc.Stride(i) {
 				break
@@ -279,134 +411,88 @@ func LLPPrimParallel(g *graph.CSR, opts Options) (f *Forest, err error) {
 					continue
 				}
 				key := g.ArcKey(a)
-				if earlyFix && key == mweJ {
+				// Early fix via j's or k's own mwe ("this edge could be the
+				// minimum weight edge for z or for k").
+				if earlyFix && (key == mweJ || key == mwe[k]) {
 					if atomic.CompareAndSwapUint32(&fixed[k], 0, 1) {
-						out = append(out, waveRec{k, g.ArcEdgeID(a)})
-						chunkEarly++
+						ids[s.nIDs.Add(1)-1] = g.ArcEdgeID(a)
+						out = append(out, k)
 					}
 					continue
 				}
-				// Early fix via k's own mwe (the paper's other half of "this
-				// edge could be the minimum weight edge for z or for k").
-				if earlyFix && key == mwe[k] {
-					if atomic.CompareAndSwapUint32(&fixed[k], 0, 1) {
-						out = append(out, waveRec{k, g.ArcEdgeID(a)})
-						chunkEarly++
-					}
-					continue
-				}
-				if par.WriteMin(&dist[k], key) {
-					if !staging {
-						// Ablation: no dedup — every improvement becomes a
-						// heap push, re-creating the churn Q avoids.
-						out = append(out, waveRec{k, qMark})
-					} else if atomic.CompareAndSwapUint32(&inQ[k], 0, 1) {
-						out = append(out, waveRec{k, qMark})
-					}
+				if par.WriteMin(&dist[k], key) && atomic.CompareAndSwapUint32(&inQ[k], 0, 1) {
+					q[s.nQ.Add(1)-1] = k
 				}
 			}
 		}
-		if chunkEarly != 0 {
-			wcol.Count(obs.CtrEarlyFix, chunkEarly)
-		}
-		endChunk()
 		return out
 	}
-	var pushes, pops, stale, early, heapFixes int64
-	var ePushes, ePops int64 // counts already streamed to col
-	var waveNo int64
-	step := 0 // work-item index for strided cancellation polls in the heap loop
-	// flush streams the not-yet-emitted heap counter deltas (early fixes
-	// are streamed by the wave chunks, attributed to workers) and
-	// refreshes the metrics snapshot; called once per wave and at exit.
-	flush := func() {
-		if d := pushes - ePushes; d != 0 {
-			col.Count(obs.CtrHeapPush, d)
-			ePushes = pushes
-		}
-		if d := pops - ePops; d != 0 {
-			col.Count(obs.CtrHeapPop, d)
-			ePops = pops
-		}
-		if opts.Metrics != nil {
-			*opts.Metrics = WorkMetrics{
-				HeapPushes: pushes, HeapPops: pops, StalePops: stale,
-				EarlyFixes: early, HeapFixes: heapFixes,
+	return func(seed []uint32) error {
+		for wave = seed; len(wave) > 0; {
+			if cc.Poll() {
+				return cc.Err()
 			}
+			s.round++
+			obs.MarkRound(s.col, s.round)
+			s.col.Gauge(obs.GaugeFrontier, int64(len(wave)))
+			next := par.ForCollectIntoW(s.p, len(wave), 32, s.ws.picks, waveBody)
+			s.ws.picks = next[:0] // keep grown capacity for the next wave
+			wave = append(wave[:0], next...)
 		}
+		return nil
 	}
-	for s := 0; s < n; s++ {
-		if atomic.LoadUint32(&fixed[s]) == 1 {
-			continue
-		}
-		if cc.Stride(s) {
-			goto cancelled
-		}
-		fixed[s] = 1
-		frontier = append(frontier[:0], uint32(s))
-		for {
-			for len(frontier) > 0 {
-				if cc.Poll() {
-					goto cancelled
-				}
-				waveNo++
-				obs.MarkRound(col, waveNo)
-				col.Gauge(obs.GaugeFrontier, int64(len(frontier)))
-				wave = frontier
-				out := par.ForCollectIntoW(p, len(wave), 32, ws.recs, waveBody)
-				ws.recs = out[:0] // keep grown capacity for the next wave
-				frontier = frontier[:0]
-				for _, r := range out {
-					if r.eid == qMark {
-						qbuf = append(qbuf, r.v)
-					} else {
-						ids = append(ids, r.eid)
-						frontier = append(frontier, r.v)
-						early++
-					}
-				}
-			}
-			// Sequential region (post-barrier): flush Q, then fix the
-			// nearest neighbor of the fragment.
-			for _, k := range qbuf {
-				if staging {
-					inQ[k] = 0
-				}
-				if fixed[k] == 0 {
-					h.Push(k, dist[k])
-					pushes++
-				}
-			}
-			qbuf = qbuf[:0]
-			col.Gauge(obs.GaugeHeapSize, int64(h.Len()))
-			fixedOne := false
-			for !h.Empty() {
-				if step++; cc.Stride(step) {
-					goto cancelled
-				}
-				k, key := h.PopMin()
-				pops++
-				if fixed[k] == 1 || key != dist[k] {
-					stale++
-					continue
-				}
-				fixed[k] = 1
-				ids = append(ids, par.KeyID(key))
-				frontier = append(frontier, k)
-				heapFixes++
-				fixedOne = true
-				break
-			}
-			flush()
-			if !fixedOne {
-				break
-			}
-		}
-	}
-	flush()
-	return newForest(g, slices.Clone(ids)), nil
+}
 
-cancelled:
-	flush()
-	return newForest(g, slices.Clone(ids)), interrupted(AlgLLPPrimParallel, cc, len(ids), n-1)
+// LLPPrimAsync is Algorithm 5 with the bag R scheduled by the Galois-style
+// asynchronous work-stealing executor (internal/sched) instead of
+// barrier-synchronized frontier waves: workers pull fixed vertices from R,
+// explore their arcs, CAS-fix MWE neighbors and push them straight back
+// into the bag — no synchronization between explorations, exactly the
+// paper's "the inner loop keeps processing the set R till it becomes
+// empty... If R consists of multiple vertices then all of them can be
+// explored in parallel". Everything else — Q staging, the sequential heap
+// region between bag quiescences, cancellation and panics — is the driver
+// it shares with LLPPrimParallel (see runParPrim).
+//
+// Compared to LLPPrimParallel (frontier waves), the async bag avoids one
+// barrier per wave at the cost of per-item queue traffic; the ablation
+// benchmark compares the two schedules. opts.Observer (or a collector on
+// opts.Ctx) receives the scheduler's push/pop/steal counters and queue
+// depth gauge alongside the heap counters.
+func LLPPrimAsync(g *graph.CSR, opts Options) (*Forest, error) {
+	return runParPrim(AlgLLPPrimAsync, g, opts, "llp-prim-async", (*parPrim).bagDrain)
+}
+
+// bagDrain is LLPPrimAsync's drain: it drives the work-stealing bag to
+// quiescence. Each drain is a round segment for round-aware collectors.
+func (s *parPrim) bagDrain() func(seed []uint32) error {
+	g, mwe, earlyFix := s.g, s.mwe, s.earlyFix
+	fixed, dist, inQ, ids, q := s.fixed, s.dist, s.inQ, s.ids, s.q
+	bag := s.ws.asyncBagBuf()
+	explore := func(j uint32, push func(uint32)) {
+		mweJ := mwe[j]
+		lo, hi := g.ArcRange(j)
+		for a := lo; a < hi; a++ {
+			k := g.Target(a)
+			if atomic.LoadUint32(&fixed[k]) == 1 {
+				continue
+			}
+			key := g.ArcKey(a)
+			if earlyFix && (key == mweJ || key == mwe[k]) {
+				if atomic.CompareAndSwapUint32(&fixed[k], 0, 1) {
+					ids[s.nIDs.Add(1)-1] = g.ArcEdgeID(a)
+					push(k)
+				}
+				continue
+			}
+			if par.WriteMin(&dist[k], key) && atomic.CompareAndSwapUint32(&inQ[k], 0, 1) {
+				q[s.nQ.Add(1)-1] = k
+			}
+		}
+	}
+	return func(seed []uint32) error {
+		s.round++
+		obs.MarkRound(s.col, s.round)
+		return bag.ForEachObs(s.ctx, s.p, seed, explore, s.col)
+	}
 }

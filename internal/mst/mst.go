@@ -131,9 +131,11 @@ type Options struct {
 	// fixed".
 	NoEarlyFix bool
 
-	// NoStaging disables LLP-Prim's Q staging set (ablation): relaxations
-	// push into the heap immediately instead of waiting for the R set to
-	// drain, re-creating the heap churn the paper's Q set avoids.
+	// NoStaging disables the sequential LLP-Prim's Q staging set
+	// (ablation): relaxations push into the heap immediately instead of
+	// waiting for the R set to drain, re-creating the heap churn the
+	// paper's Q set avoids. The parallel variants always stage: their inQ
+	// dedup is what bounds the shared Q buffer to one slot per vertex.
 	NoStaging bool
 
 	// JumpMode selects the LLP driver for LLP-Boruvka's pointer jumping.

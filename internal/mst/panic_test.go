@@ -2,6 +2,7 @@ package mst
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -103,5 +104,77 @@ func TestPanicErrorShape(t *testing.T) {
 	var got *par.PanicError
 	if !errors.As(err, &got) || got != pe {
 		t.Fatal("wrapped *par.PanicError not reachable via errors.As")
+	}
+}
+
+// spanBomb panics on its fuse-th Span call and ignores everything else.
+type spanBomb struct {
+	obs.Nop
+	fuse atomic.Int64
+}
+
+func (b *spanBomb) Span(string) func() {
+	if b.fuse.Add(-1) == 0 {
+		panic("span bomb")
+	}
+	return func() {}
+}
+
+// TestPanicsReleaseRecorderSpanSlots: a long-lived FlightRecorder (a
+// server's) shared with an observer that panics mid-run must get back every
+// span slot the aborted runs opened. A phase span left open by the unwinding
+// panic would hold its cursor slot for good; after 64 such runs every later
+// span on that cursor would be dropped, and a clean run would record none of
+// its phases.
+func TestPanicsReleaseRecorderSpanSlots(t *testing.T) {
+	g := gen.ErdosRenyi(1, 3000, 12000, gen.WeightUniform, 5)
+	for _, alg := range ctxAlgs {
+		for _, p := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/w%d", alg, p), func(t *testing.T) {
+				rec := obs.NewFlightRecorder(p, 1<<16)
+				for i := 0; i < 70; i++ {
+					bomb := &spanBomb{}
+					bomb.fuse.Store(int64(2 + i%6))
+					_, err := Run(alg, g, Options{Workers: p, Observer: obs.Tee(rec, bomb)})
+					var pe *par.PanicError
+					if err != nil && !errors.As(err, &pe) {
+						t.Fatalf("run %d: %v", i, err)
+					}
+				}
+				// Every cursor must still hold all of its span slots: probe
+				// spans only reach the histogram when they got one.
+				var ends []func()
+				for w := -1; w < p; w++ {
+					for i := 0; i < 64; i++ {
+						ends = append(ends, rec.Worker(w).Span("probe"))
+					}
+				}
+				for _, end := range ends {
+					end()
+				}
+				if s, _ := rec.SpanSummary("probe"); s.Count != int64(len(ends)) {
+					t.Fatalf("%d of %d probe spans found a free slot: the panicked runs leaked the rest", s.Count, len(ends))
+				}
+			})
+		}
+	}
+
+	// The scenario that exposed the leak: the 4th span of every run panics,
+	// then a clean run records all of its contraction phases.
+	rec := obs.NewFlightRecorder(1, 1<<16)
+	for i := 0; i < 70; i++ {
+		bomb := &spanBomb{}
+		bomb.fuse.Store(4)
+		if _, err := LLPBoruvka(g, Options{Workers: 1, Observer: obs.Tee(rec, bomb)}); err == nil {
+			t.Fatalf("run %d: the bomb did not go off", i)
+		}
+	}
+	var m WorkMetrics
+	if _, err := LLPBoruvka(g, Options{Workers: 1, Observer: rec, Metrics: &m}); err != nil {
+		t.Fatal(err)
+	}
+	s, _ := rec.SpanSummary("llp-boruvka.contract")
+	if m.Rounds < 2 || s.Count != m.Rounds {
+		t.Fatalf("clean run recorded %d of its %d contract spans", s.Count, m.Rounds)
 	}
 }

@@ -58,6 +58,8 @@ func ParallelBoruvka(g *graph.CSR, opts Options) (f *Forest, err error) {
 	spareIDs := ws.eSpareBuf(m) // compaction ping-pong target
 	counters := ws.countersBuf(p)
 	var rounds int64
+	var ph phase // the open round span, closed however the run exits
+	defer ph.close()
 
 	// Phase bodies are hoisted out of the round loop (alive is captured by
 	// reference) so steady-state rounds allocate nothing.
@@ -114,7 +116,7 @@ func ParallelBoruvka(g *graph.CSR, opts Options) (f *Forest, err error) {
 		obs.MarkRound(col, rounds)
 		col.Count(obs.CtrRounds, 1)
 		col.Gauge(obs.GaugeLiveEdges, int64(len(alive)))
-		roundSpan := col.Span("boruvka-par.round")
+		ph.begin(col, "boruvka-par.round")
 		par.FillKeys(p, best, par.InfKey)
 		// Phase 1: write-min every live cross edge into both components.
 		par.ForEach(p, len(alive), 2048, writeMinBody)
@@ -122,7 +124,6 @@ func ParallelBoruvka(g *graph.CSR, opts Options) (f *Forest, err error) {
 		// consume it, or the "winners" need not be MSF edges.
 		if cc.Poll() {
 			cancelled = true
-			roundSpan()
 			break
 		}
 		// Phase 2: per component root, add the winner and unite. comp[]
@@ -134,11 +135,9 @@ func ParallelBoruvka(g *graph.CSR, opts Options) (f *Forest, err error) {
 		ws.picks = won[:0] // keep grown capacity for the next round
 		if cc.Poll() {
 			cancelled = true
-			roundSpan()
 			break
 		}
 		if len(won) == 0 {
-			roundSpan()
 			break
 		}
 		// Phase 3: relabel, then compact the live edge array into the spare
@@ -148,12 +147,13 @@ func ParallelBoruvka(g *graph.CSR, opts Options) (f *Forest, err error) {
 		kept := par.FilterInto(p, spareIDs, alive, counters, keepCross)
 		spareIDs = alive[:cap(alive)]
 		alive = kept
-		roundSpan()
+		ph.close()
 		if cc.Poll() {
 			cancelled = true
 			break
 		}
 	}
+	ph.close()
 	if opts.Metrics != nil {
 		*opts.Metrics = WorkMetrics{Rounds: rounds, Unions: int64(len(ids))}
 	}

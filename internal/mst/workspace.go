@@ -13,10 +13,9 @@ import (
 
 // Workspace is an arena of reusable scratch buffers for the parallel MSF
 // algorithms. Every call to LLPPrim, LLPPrimParallel, LLPPrimAsync,
-// ParallelBoruvka, LLPBoruvka, or SemiringBoruvka needs O(n+m) scratch
-// state (tentative-key
-// arrays, fixed flags, contraction ping-pong edge buffers, heaps, work
-// bags); without a workspace that state is allocated per call and becomes
+// ParallelBoruvka, LLPBoruvka, SemiringBoruvka or KKT needs O(n+m) scratch
+// state (tentative-key arrays, fixed flags, contraction ping-pong edge
+// buffers, heaps, work bags); without a workspace that state is allocated per call and becomes
 // garbage at return — exactly the overhead a server answering repeated MSF
 // queries cannot afford. Pass a Workspace through Options.Workspace and the
 // algorithms draw all of it from here instead: buffers grow lazily to the
@@ -55,13 +54,12 @@ type Workspace struct {
 	ids    []uint32 // chosen forest edge ids (≤ n-1)
 	bag    []uint32 // bag R / frontier / scheduler seed
 	stage  []uint32 // staging set Q
-	picks  []uint32 // per-round collected winners / roots
-	recs   []waveRec
+	picks  []uint32 // per-round collected winners / next frontier wave
 
 	// Per-edge scratch (sized to m).
 	cedges []cedge  // contracted edge list
 	cspare []cedge  // contraction ping-pong target
-	eIDs   []uint32 // live edge ids / canonical-id -> row-entry index
+	eIDs   []uint32 // live edge ids
 	eSpare []uint32 // live-edge compaction ping-pong target
 	eFlags []uint32 // atomic 0/1 per edge: inT
 
@@ -104,16 +102,12 @@ func EstimateScratchBytes(n, m, workers int) int64 {
 	if workers < 1 {
 		workers = 1
 	}
-	const (
-		cedgeBytes   = 16 // u, v uint32 + key uint64
-		waveRecBytes = 8  // v, eid uint32
-	)
+	const cedgeBytes = 16  // u, v uint32 + key uint64
 	perVertex := int64(8 + // keys
 		4*5 + // flagsA, flagsB, vertsA, vertsB, vertsC
 		4 + // vIdx
 		2 + // boolsA, boolsB
 		4*4 + // ids, bag, stage, picks
-		waveRecBytes + // recs (one wave record per fixed vertex)
 		8 + // union-find parent+rank words
 		8 + // pointer-jump shadow state
 		8) // semiring row offsets
@@ -166,47 +160,29 @@ func (w *Workspace) release() {
 	}
 }
 
-// poison overwrites every buffer with a recognizable junk pattern. Only
-// called under the race detector (see workspace_race.go): correctness must
-// come from explicit initialization, never from reuse of a previous run's
-// state or from make() zeroing.
+// poison overwrites every buffer, up to its capacity, with a recognizable
+// junk pattern. Only called under the race detector (see
+// workspace_race.go): correctness must come from explicit initialization,
+// never from reuse of a previous run's state or from make() zeroing.
 func (w *Workspace) poison() {
-	const p64 = 0xDEADBEEFDEADBEEF
+	const p64 = uint64(0xDEADBEEFDEADBEEF)
 	const p32 = uint32(0xDEADBEEF)
-	for i := range w.keys {
-		w.keys[i] = p64
-	}
-	for _, s := range [][]uint32{w.flagsA, w.flagsB, w.vertsA, w.vertsB, w.vertsC, w.ids, w.bag, w.stage, w.picks, w.eIDs, w.eSpare, w.eFlags} {
+	poisonAll(p64, w.keys, w.arcKeys)
+	poisonAll(p32, w.flagsA, w.flagsB, w.vertsA, w.vertsB, w.vertsC, w.ids, w.bag, w.stage, w.picks, w.eIDs, w.eSpare, w.eFlags)
+	poisonAll(-0x5EED, w.vIdx)
+	poisonAll(true, w.boolsA, w.boolsB)
+	poisonAll(cedge{u: p32, v: p32, key: p64}, w.cedges, w.cspare)
+	poisonAll(-1, w.counters)
+	poisonAll(-0x5EED, w.rowOff)
+}
+
+// poisonAll sets every element of each buffer's full capacity to v.
+func poisonAll[T any](v T, bufs ...[]T) {
+	for _, s := range bufs {
+		s = s[:cap(s)]
 		for i := range s {
-			s[i] = p32
+			s[i] = v
 		}
-	}
-	for i := range w.vIdx {
-		w.vIdx[i] = -0x5EED
-	}
-	for i := range w.boolsA {
-		w.boolsA[i] = true
-	}
-	for i := range w.boolsB {
-		w.boolsB[i] = true
-	}
-	for i := range w.cedges {
-		w.cedges[i] = cedge{u: p32, v: p32, key: p64}
-	}
-	for i := range w.cspare {
-		w.cspare[i] = cedge{u: p32, v: p32, key: p64}
-	}
-	for i := range w.counters {
-		w.counters[i] = -1
-	}
-	for i := range w.rowOff {
-		w.rowOff[i] = -0x5EED
-	}
-	for i := range w.arcKeys {
-		w.arcKeys[i] = p64
-	}
-	for i := range w.recs {
-		w.recs[i] = waveRec{v: p32, eid: p32}
 	}
 }
 

@@ -214,14 +214,13 @@ func TestEstimateScratchBytes(t *testing.T) {
 		if _, err := Run(alg, g, Options{Workers: 4, Workspace: ws}); err != nil {
 			t.Fatalf("%s: %v", alg, err)
 		}
-		held := int64(8*len(ws.keys) +
-			4*(len(ws.flagsA)+len(ws.flagsB)+len(ws.vertsA)+len(ws.vertsB)+len(ws.vertsC)) +
-			4*len(ws.vIdx) + len(ws.boolsA) + len(ws.boolsB) +
-			4*(len(ws.ids)+len(ws.bag)+len(ws.stage)+len(ws.picks)) +
-			8*len(ws.recs) +
-			16*(len(ws.cedges)+len(ws.cspare)) +
-			4*(len(ws.eIDs)+len(ws.eSpare)+len(ws.eFlags)) +
-			8*len(ws.counters))
+		held := int64(8*cap(ws.keys) +
+			4*(cap(ws.flagsA)+cap(ws.flagsB)+cap(ws.vertsA)+cap(ws.vertsB)+cap(ws.vertsC)) +
+			4*cap(ws.vIdx) + cap(ws.boolsA) + cap(ws.boolsB) +
+			4*(cap(ws.ids)+cap(ws.bag)+cap(ws.stage)+cap(ws.picks)) +
+			16*(cap(ws.cedges)+cap(ws.cspare)) +
+			4*(cap(ws.eIDs)+cap(ws.eSpare)+cap(ws.eFlags)) +
+			8*cap(ws.counters))
 		if held > est {
 			t.Fatalf("%s: workspace holds %d bytes of slice scratch, estimate %d does not cover it", alg, held, est)
 		}

@@ -47,8 +47,7 @@ const (
 	EvRound
 )
 
-// Event is one recorded telemetry sample. The struct is exactly 32 bytes so
-// ring writes stay within one or two cache lines.
+// Event is one recorded telemetry sample, as Events returns it.
 type Event struct {
 	// TS is the event time in nanoseconds since the recorder's origin.
 	TS int64
@@ -87,7 +86,7 @@ type shard struct {
 	head atomic.Uint64 // total events ever claimed; ring slot = seq & mask
 	_    [56]byte      // the claim cursor gets a cache line to itself
 
-	buf    []Event
+	buf    []slot
 	mask   uint64
 	worker int16
 
@@ -99,6 +98,21 @@ type shard struct {
 
 	_ [64]byte // isolate this shard's aggregates from the next shard's head
 }
+
+// slot is one ring entry: 32 bytes, so a ring write stays within one or
+// two cache lines. Its words are atomics, so a writer lapped by a
+// whole ring and a reader snapshotting mid-run never race a writer. seq is
+// the seqlock word: the event's sequence number + 1 once the slot is fully
+// written (0 before the first write), slotBusy while a writer fills it.
+type slot struct {
+	seq   atomic.Uint64
+	ts    atomic.Int64
+	value atomic.Int64
+	meta  atomic.Uint64 // round<<16 | kind<<8 | id
+}
+
+// slotBusy marks a slot a writer has claimed but not yet filled.
+const slotBusy = ^uint64(0)
 
 // spanHist is a log-bucket duration histogram. The flight recorder keeps
 // one per span name in every shard, so workers closing spans never write
@@ -353,7 +367,7 @@ func NewFlightRecorder(workers, eventCap int) *FlightRecorder {
 	r.cursors = make([]Cursor, workers+1)
 	for i := range r.shards {
 		s := &r.shards[i]
-		s.buf = make([]Event, capPow)
+		s.buf = make([]slot, capPow)
 		s.mask = uint64(capPow - 1)
 		s.worker = int16(i - 1) // shard 0 is the driver, worker -1
 		c := &r.cursors[i]
@@ -366,22 +380,28 @@ func NewFlightRecorder(workers, eventCap int) *FlightRecorder {
 // now is the event clock: nanoseconds since the recorder's origin.
 func (r *FlightRecorder) now() int64 { return int64(time.Since(r.origin)) }
 
-// record claims the next ring slot with one uncontended atomic add and
-// fills it in place, stamped ts — no allocation, no lock, no shared cache
-// line with other shards. Callers pass the time so an event shares one
-// clock read with the aggregate it updates: a span's end event minus its
-// duration is exactly its begin event's time.
+// record claims the next sequence number with one uncontended atomic add
+// and fills its ring slot in place, stamped ts — no allocation, no lock, no
+// shared cache line with other shards. Callers pass the time so an event
+// shares one clock read with the aggregate it updates: a span's end event
+// minus its duration is exactly its begin event's time.
+//
+// The slot is claimed with a CAS on its seqlock word, so two writers never
+// fill it at once. A writer that finds the slot busy, or already holding a
+// later event (both only after a lap of the whole ring), drops its event:
+// the ring keeps the newest events it can, and Dropped counts every event
+// older than one ring.
 func (r *FlightRecorder) record(s *shard, ts int64, k EventKind, id uint8, v int64) {
 	seq := s.head.Add(1) - 1
-	s.buf[seq&s.mask] = Event{
-		TS:     ts,
-		Value:  v,
-		Seq:    seq,
-		Round:  int32(r.round.Load()),
-		Worker: s.worker,
-		Kind:   k,
-		ID:     id,
+	sl := &s.buf[seq&s.mask]
+	old := sl.seq.Load()
+	if old == slotBusy || old > seq || !sl.seq.CompareAndSwap(old, slotBusy) {
+		return
 	}
+	sl.ts.Store(ts)
+	sl.value.Store(v)
+	sl.meta.Store(uint64(uint32(r.round.Load()))<<16 | uint64(k)<<8 | uint64(id))
+	sl.seq.Store(seq + 1)
 }
 
 // Worker implements WorkerAttributor: it returns the cursor whose events
@@ -484,9 +504,10 @@ func (r *FlightRecorder) Dropped() uint64 {
 
 // Events returns a merged snapshot of every shard's surviving events,
 // sorted by timestamp (sequence number breaking ties within a shard).
-// In-flight slots — claimed but not yet fully written — are filtered by
-// their stale sequence numbers, so a snapshot taken mid-run is a consistent
-// sample; for exact replay, snapshot after the run has joined.
+// In-flight slots — claimed but not yet fully written, or rewritten while
+// being read — fail the seqlock check and are skipped, so a snapshot taken
+// mid-run is a consistent sample; for exact replay, snapshot after the run
+// has joined.
 func (r *FlightRecorder) Events() []Event {
 	var out []Event
 	for i := range r.shards {
@@ -498,8 +519,21 @@ func (r *FlightRecorder) Events() []Event {
 			lo = head - n
 		}
 		for seq := lo; seq < head; seq++ {
-			e := s.buf[seq&s.mask]
-			if e.Seq == seq && e.Kind != 0 {
+			sl := &s.buf[seq&s.mask]
+			if sl.seq.Load() != seq+1 {
+				continue
+			}
+			meta := sl.meta.Load()
+			e := Event{
+				TS:     sl.ts.Load(),
+				Value:  sl.value.Load(),
+				Seq:    seq,
+				Round:  int32(uint32(meta >> 16)),
+				Worker: s.worker,
+				Kind:   EventKind(meta >> 8),
+				ID:     uint8(meta),
+			}
+			if sl.seq.Load() == seq+1 {
 				out = append(out, e)
 			}
 		}

@@ -639,3 +639,65 @@ func TestMarkRoundForWorkerOnPlainCollector(t *testing.T) {
 		t.Fatalf("MarkRound/ForWorker on Nop allocates: %v", allocs)
 	}
 }
+
+// TestFlightRecorderRingWrapConcurrentWriters: many writers lapping a tiny
+// ring while a reader snapshots it must be race-detector clean (run under
+// -race), every counter delta must reach the aggregate, and every event the
+// snapshot returns must be whole — never a mix of two writers' fields.
+func TestFlightRecorderRingWrapConcurrentWriters(t *testing.T) {
+	rec := NewFlightRecorder(1, 64)
+	const writers, calls = 8, 2000
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	readerDone := make(chan []Event)
+	go func() {
+		var last []Event
+		for {
+			select {
+			case <-stop:
+				readerDone <- last
+				return
+			default:
+				last = rec.Events()
+			}
+		}
+	}()
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < calls; i++ {
+				if w%2 == 0 {
+					rec.Count(CtrRounds, 1)
+				} else {
+					rec.Gauge(GaugeFrontier, int64(i))
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(stop)
+	mid := <-readerDone
+	if got := rec.Counter(CtrRounds); got != writers/2*calls {
+		t.Fatalf("counter total %d, want %d", got, writers/2*calls)
+	}
+	check := func(evs []Event) {
+		for i, e := range evs {
+			switch {
+			case e.Kind == EvCount && e.ID == uint8(CtrRounds) && e.Value == 1:
+			case e.Kind == EvGauge && e.ID == uint8(GaugeFrontier) && e.Value >= 0 && e.Value < calls:
+			default:
+				t.Fatalf("torn or foreign event %d: %+v", i, e)
+			}
+		}
+	}
+	check(mid)
+	final := rec.Events()
+	if len(final) == 0 || len(final) > 64 {
+		t.Fatalf("final snapshot holds %d events, want 1..64", len(final))
+	}
+	check(final)
+	if rec.Recorded() != writers*calls {
+		t.Fatalf("recorded %d events, want %d", rec.Recorded(), writers*calls)
+	}
+}

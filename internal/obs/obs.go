@@ -372,10 +372,23 @@ func Tee(a, b Collector) Collector {
 	return tee{a, b}
 }
 
-// Span implements Tracer by opening the span on both sides.
+// Span implements Tracer by opening the span on both sides. A panic in
+// either side's Span or closer still ends the other side's span, so a
+// FlightRecorder teed with a faulty collector keeps its span slots.
 func (t tee) Span(name string) func() {
-	ea, eb := t.a.Span(name), t.b.Span(name)
-	return func() { ea(); eb() }
+	ea := t.a.Span(name)
+	opened := false
+	defer func() {
+		if !opened {
+			ea()
+		}
+	}()
+	eb := t.b.Span(name)
+	opened = true
+	return func() {
+		defer eb()
+		ea()
+	}
 }
 
 // Count implements Collector on both sides.

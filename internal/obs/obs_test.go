@@ -174,3 +174,37 @@ func TestEnumNames(t *testing.T) {
 		t.Fatalf("NumGauges is not a real gauge but stringifies to %q", NumGauges.String())
 	}
 }
+
+// panicSpans panics in Span (open) or in the closer it returns (!open).
+type panicSpans struct {
+	Nop
+	open bool
+}
+
+func (p panicSpans) Span(string) func() {
+	if p.open {
+		panic("span")
+	}
+	return func() { panic("end") }
+}
+
+// TestTeeSpanPanicKeepsRecorderSlots: a panic on one side of a Tee, when the
+// span opens or when it ends, must still end the recorder's span, or each
+// such panic would hold one of the cursor's span slots for good.
+func TestTeeSpanPanicKeepsRecorderSlots(t *testing.T) {
+	rec := NewFlightRecorder(1, 1<<10)
+	try := func(f func()) {
+		defer func() { _ = recover() }()
+		f()
+	}
+	for i := 0; i < 2*spanSlots; i++ {
+		try(func() { Tee(rec, panicSpans{open: true}).Span("a") })
+		try(func() { Tee(panicSpans{}, rec).Span("b")() })
+	}
+	if s, _ := rec.SpanSummary("b"); s.Count != 2*spanSlots {
+		t.Fatalf("%d of %d spans ended on the recorder", s.Count, 2*spanSlots)
+	}
+	if rec.Dropped() != 0 {
+		t.Fatalf("%d spans dropped: slots leaked", rec.Dropped())
+	}
+}

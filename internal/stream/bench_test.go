@@ -85,7 +85,7 @@ func TestBatchLatencyReport(t *testing.T) {
 		}
 		for _, mixed := range []bool{false, true} {
 			script := benchOps(n, batches, size, mixed, 7)
-			e, _, err := Open(Config{Vertices: n, Sync: SyncOff, Workers: 2})
+			e, _, err := Open(Config{Vertices: n, Sync: SyncOff})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -7,8 +7,8 @@
 // relink across the cut with the minimum crossing edge (the classic cut
 // property, under the same packed (weight, id) canonical order every batch
 // algorithm uses), and deletes whose replacement scan exceeds a budget fall
-// back to a bounded recompute of just the affected component — parallel
-// Boruvka when the component is large enough to pay for workers. After
+// back to a bounded recompute of just the affected component: one Kruskal
+// union-find sweep over its live edges in canonical order. After
 // every batch the maintained forest is exactly the canonical MSF of the
 // live edge set; the tests cross-check against a from-scratch Kruskal
 // oracle after every batch.

@@ -15,6 +15,7 @@ import (
 	"llpmst/internal/mst"
 	"llpmst/internal/obs"
 	"llpmst/internal/par"
+	"llpmst/internal/unionfind"
 )
 
 // Sentinel errors of the streaming engine.
@@ -174,17 +175,10 @@ type Config struct {
 	// SnapshotEvery compacts the WAL into a snapshot every that many
 	// batches; 0 disables automatic snapshots.
 	SnapshotEvery int
-	// Workers bounds the parallel recompute fallback; <= 0 means
-	// GOMAXPROCS.
-	Workers int
 	// ReplaceScanBudget is how many live-edge incidences a delete's
 	// replacement search may scan before falling back to recomputing the
 	// affected component (default 4096).
 	ReplaceScanBudget int
-	// RecomputeParallelEdges is the component edge count at which the
-	// recompute fallback switches from sequential Kruskal to parallel
-	// Boruvka (default 4096).
-	RecomputeParallelEdges int
 	// Observer receives stream counters and per-batch round marks. Only
 	// counters and round marks are emitted, so a shared FlightRecorder is
 	// safe even with concurrent solves elsewhere.
@@ -258,9 +252,6 @@ func Open(cfg Config) (*Engine, *RecoveryReport, error) {
 	}
 	if cfg.ReplaceScanBudget <= 0 {
 		cfg.ReplaceScanBudget = 4096
-	}
-	if cfg.RecomputeParallelEdges <= 0 {
-		cfg.RecomputeParallelEdges = 4096
 	}
 	e := &Engine{
 		cfg:       cfg,
@@ -795,8 +786,7 @@ func (e *Engine) expand(queue []uint32, i int, m uint32) []uint32 {
 // recomputeComponent rebuilds the forest of the component that just lost
 // an edge: gather the component's vertices (both cut sides), collect its
 // live edges in canonical order, cut its current forest edges, and re-link
-// the MSF computed from scratch — parallel Boruvka when the component is
-// big enough to pay for workers, Kruskal otherwise.
+// the MSF of one Kruskal union-find sweep over those edges.
 func (e *Engine) recomputeComponent(side []uint32, otherRoot uint32, otherMark uint32, st *opStats) error {
 	// Complete the other side's BFS (it was abandoned as the larger side).
 	other := e.otherQueue(side)
@@ -809,9 +799,7 @@ func (e *Engine) recomputeComponent(side []uint32, otherRoot uint32, otherMark u
 	e.storeOtherQueue(side, other)
 
 	// Live edges of the component, each collected once (at its first
-	// endpoint), then sorted ascending so local edge indices follow the
-	// canonical (weight, id) order and any MSF algorithm reproduces the
-	// canonical forest.
+	// endpoint), then sorted into the canonical (weight, id) order.
 	var keys []uint64
 	for _, x := range comp {
 		for _, k := range e.adj[x] {
@@ -830,33 +818,18 @@ func (e *Engine) recomputeComponent(side []uint32, otherRoot uint32, otherMark u
 		e.forestAdj[x] = e.forestAdj[x][:0]
 	}
 
+	// Kruskal over the sorted keys: an edge joins the forest exactly when
+	// it links two trees of the edges before it.
 	local := make(map[uint32]uint32, len(comp))
 	for i, x := range comp {
 		local[x] = uint32(i)
 	}
-	edges := make([]graph.Edge, len(keys))
-	for i, k := range keys {
+	uf := unionfind.New(len(comp))
+	for _, k := range keys {
 		ends := e.live[k]
-		edges[i] = graph.Edge{U: local[ends[0]], V: local[ends[1]], W: par.KeyWeight(k)}
-	}
-	workers := par.Workers(e.cfg.Workers)
-	sub, err := graph.FromEdges(workers, len(comp), edges)
-	if err != nil {
-		return fmt.Errorf("stream: internal: recompute subgraph: %w", err)
-	}
-	var forest *mst.Forest
-	if len(edges) >= e.cfg.RecomputeParallelEdges && workers > 1 {
-		forest, err = mst.ParallelBoruvka(sub, mst.Options{Workers: workers})
-		if err != nil {
-			forest = nil // fall through to Kruskal
+		if !uf.Union(local[ends[0]], local[ends[1]]) {
+			continue
 		}
-	}
-	if forest == nil {
-		forest = mst.Kruskal(sub)
-	}
-	for _, id := range forest.EdgeIDs {
-		k := keys[id]
-		ends := e.live[k]
 		added, _, hadEvict, err := e.inc.InsertKeyed(ends[0], ends[1], k)
 		if err != nil {
 			return err

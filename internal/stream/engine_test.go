@@ -209,7 +209,7 @@ func TestEngineForcedRecompute(t *testing.T) {
 	// component recompute; correctness must be identical.
 	rng := rand.New(rand.NewSource(11))
 	n := 40
-	e, _ := mustOpen(t, Config{Vertices: n, ReplaceScanBudget: 1, RecomputeParallelEdges: 8, Workers: 2})
+	e, _ := mustOpen(t, Config{Vertices: n, ReplaceScanBudget: 1})
 	o := &liveOracle{n: n}
 	id := uint64(0)
 	for step := 0; step < 300; step++ {

@@ -20,15 +20,15 @@ type soakFamily struct {
 }
 
 func soakFamilies() []soakFamily {
-	memCfg := func(n, workers int) func(string) Config {
-		return func(string) Config { return Config{Vertices: n, Workers: workers} }
+	memCfg := func(n int) func(string) Config {
+		return func(string) Config { return Config{Vertices: n} }
 	}
 	return []soakFamily{
 		{
 			// Uniform random inserts and deletes over the whole vertex set.
 			name: "uniform",
 			n:    64,
-			cfg:  memCfg(64, 2),
+			cfg:  memCfg(64),
 			next: func(rng *rand.Rand, o *liveOracle) []Op {
 				ops := make([]Op, 0, 8)
 				for k := rng.Intn(8) + 1; k > 0; k-- {
@@ -51,7 +51,7 @@ func soakFamilies() []soakFamily {
 			// forest edges are cut often and replacement search dominates.
 			name: "churn",
 			n:    48,
-			cfg:  memCfg(48, 2),
+			cfg:  memCfg(48),
 			next: func(rng *rand.Rand, o *liveOracle) []Op {
 				ops := make([]Op, 0, 6)
 				for k := rng.Intn(6) + 1; k > 0; k-- {
@@ -77,7 +77,7 @@ func soakFamilies() []soakFamily {
 			// bridge splits a large component and forces wide cut searches.
 			name: "bridges",
 			n:    60,
-			cfg:  memCfg(60, 2),
+			cfg:  memCfg(60),
 			next: func(rng *rand.Rand, o *liveOracle) []Op {
 				ops := make([]Op, 0, 6)
 				for k := rng.Intn(6) + 1; k > 0; k-- {
@@ -106,7 +106,7 @@ func soakFamilies() []soakFamily {
 			// the oracle's exactly.
 			name: "ties",
 			n:    12,
-			cfg:  memCfg(12, 2),
+			cfg:  memCfg(12),
 			next: func(rng *rand.Rand, o *liveOracle) []Op {
 				ops := make([]Op, 0, 5)
 				for k := rng.Intn(5) + 1; k > 0; k-- {
@@ -132,8 +132,8 @@ func soakFamilies() []soakFamily {
 			n:    40,
 			cfg: func(dir string) Config {
 				return Config{
-					Vertices: 40, Workers: 2, Dir: dir, Sync: SyncOff,
-					SnapshotEvery: 50, ReplaceScanBudget: 1, RecomputeParallelEdges: 16,
+					Vertices: 40, Dir: dir, Sync: SyncOff,
+					SnapshotEvery: 50, ReplaceScanBudget: 1,
 				}
 			},
 			reopenEvery: 97,
